@@ -593,210 +593,6 @@ let serve_json () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* serve --shards: sharded-daemon scaling matrix -> BENCH_9.json       *)
-
-(* Forks one daemon per (shard count, seed) cell and drives the same
-   deterministic burst load at each, measuring req/s and tail latency.
-   Gates: every daemon shuts down clean and leak-free; cross-seed
-   stability holds at every shard count (the envelope should make
-   throughput insensitive to which seed drives it); and on a multi-core
-   host the largest shard count must deliver >= 2x the req/s of
-   shards=1. On a single-core host the numbers are still valid
-   measurements — of overhead, not scaling — so the matrix is flagged
-   degraded and the speedup gate is waived. *)
-let serve_shard_counts = ref [ 1; 2; 4 ]
-
-let serve_shards_json () =
-  section "cgcm serve --shards: scaling matrix";
-  (* tenants=4 lands one tenant per shard at the matrix top (the FNV
-     placement of t0..t3 over 4 shards is 1:1), so each shard sees a
-     single-tenant stream and the cross-request batcher gets real runs;
-     max_queue=32 >= burst means nothing sheds at any shard count —
-     every cell executes the same work, so req/s compare fairly *)
-  let tenants = 4 and requests = 160 and burst = 16 and max_queue = 32 in
-  let host_cores = Domain.recommended_domain_count () in
-  let degraded = host_cores <= 1 in
-  let run_one ~shards ~seed =
-    let socket =
-      Printf.sprintf "/tmp/cgcm-bench-shards-%d-%d-%d.sock" (Unix.getpid ())
-        shards seed
-    in
-    Fmt.epr "  shards=%d seed=%d: forking daemon on %s...@." shards seed
-      socket;
-    flush_all ();
-    match Unix.fork () with
-    | 0 ->
-      let config =
-        { Cgcm_serve.Engine.default_config with Cgcm_serve.Engine.max_queue }
-      in
-      let server =
-        Cgcm_serve.Server.create ~engine_config:config ~shards
-          ~socket_path:socket ()
-      in
-      let _line, residual = Cgcm_serve.Server.run server in
-      Unix._exit (if residual = 0 then 0 else 1)
-    | pid ->
-      if not (Cgcm_serve.Client.wait_ready ~socket_path:socket ()) then
-        failwith "serve shards bench: daemon did not come up";
-      (* pure-throughput load: no poison tenant, no daemon fault plan —
-         BENCH_7 owns the robustness envelope; this matrix isolates the
-         scaling of the request path itself *)
-      let report =
-        Cgcm_serve.Loadgen.run ~socket_path:socket ~tenants ~requests ~burst
-          ~poison:false ~seed ()
-      in
-      let stats = Cgcm_serve.Client.stats ~socket_path:socket in
-      ignore (Cgcm_serve.Client.shutdown ~socket_path:socket : bool);
-      let _, status = Unix.waitpid [] pid in
-      (report, stats, status = Unix.WEXITED 0)
-  in
-  let cells =
-    List.concat_map
-      (fun shards ->
-        List.map
-          (fun seed -> ((shards, seed), run_one ~shards ~seed))
-          !serve_seeds)
-      !serve_shard_counts
-  in
-  let ratio ~floor a b =
-    let a = Float.max a floor and b = Float.max b floor in
-    Float.max a b /. Float.min a b
-  in
-  let spread ~floor = function
-    | [] | [ _ ] -> 1.0
-    | x :: rest ->
-      List.fold_left (fun acc y -> Float.max acc (ratio ~floor x y)) 1.0 rest
-  in
-  let mean = function
-    | [] -> 0.0
-    | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
-  let rps_of shards =
-    mean
-      (List.filter_map
-         (fun ((s, _), (r, _, _)) ->
-           if s = shards then Some r.Cgcm_serve.Loadgen.lr_rps else None)
-         cells)
-  in
-  (* cross-seed stability per shard count, same floors/bound as BENCH_7 *)
-  let stability =
-    List.map
-      (fun shards ->
-        let p99s =
-          List.filter_map
-            (fun ((s, _), (r, _, _)) ->
-              if s = shards then Some r.Cgcm_serve.Loadgen.lr_p99_ms else None)
-            cells
-        in
-        (shards, spread ~floor:5.0 p99s))
-      !serve_shard_counts
-  in
-  let within_bounds = List.for_all (fun (_, r) -> r <= 2.0) stability in
-  let all_clean = List.for_all (fun (_, (_, _, clean)) -> clean) cells in
-  let base_rps = rps_of 1 in
-  let top_shards = List.fold_left max 1 !serve_shard_counts in
-  let speedup = if base_rps > 0.0 then rps_of top_shards /. base_rps else 0.0 in
-  (* the >= 2x gate needs both endpoints of the matrix and enough cores
-     for the shards to actually run in parallel *)
-  let applicable =
-    (not degraded) && host_cores >= 4
-    && List.mem 1 !serve_shard_counts
-    && top_shards >= 2
-  in
-  let scaling_ok = (not applicable) || speedup >= 2.0 in
-  let int_stat name stats =
-    Cgcm_serve.Json.int_field ~default:0 name stats
-  in
-  let json : Cgcm_serve.Json.t =
-    Obj
-      ([
-         ("schema", Cgcm_serve.Json.Str "cgcm-bench-9");
-         ( "config",
-           Obj
-             [
-               ("tenants", Cgcm_serve.Json.Int tenants);
-               ("requests", Cgcm_serve.Json.Int requests);
-               ("burst", Cgcm_serve.Json.Int burst);
-               ("max_queue", Cgcm_serve.Json.Int max_queue);
-               ( "shard_counts",
-                 Cgcm_serve.Json.List
-                   (List.map
-                      (fun s -> Cgcm_serve.Json.Int s)
-                      !serve_shard_counts) );
-             ] );
-         ("host_cores", Cgcm_serve.Json.Int host_cores);
-       ]
-      @ (if degraded then [ ("degraded", Cgcm_serve.Json.Bool true) ] else [])
-      @ [
-          ( "matrix",
-            Cgcm_serve.Json.Obj
-              (List.map
-                 (fun ((shards, seed), (r, stats, clean)) ->
-                   ( Printf.sprintf "shards%d_seed%d" shards seed,
-                     Cgcm_serve.Json.Obj
-                       [
-                         ("shards", Cgcm_serve.Json.Int shards);
-                         ("seed", Cgcm_serve.Json.Int seed);
-                         ("rps", Cgcm_serve.Json.Float r.Cgcm_serve.Loadgen.lr_rps);
-                         ( "p50_ms",
-                           Cgcm_serve.Json.Float r.Cgcm_serve.Loadgen.lr_p50_ms );
-                         ( "p99_ms",
-                           Cgcm_serve.Json.Float r.Cgcm_serve.Loadgen.lr_p99_ms );
-                         ("ok", Cgcm_serve.Json.Int r.Cgcm_serve.Loadgen.lr_ok);
-                         ("shed", Cgcm_serve.Json.Int r.Cgcm_serve.Loadgen.lr_shed);
-                         ("batches", Cgcm_serve.Json.Int (int_stat "batches" stats));
-                         ( "batched_runs",
-                           Cgcm_serve.Json.Int (int_stat "batched_runs" stats) );
-                         ( "warm_coalesced",
-                           Cgcm_serve.Json.Int (int_stat "warm_coalesced" stats) );
-                         ("clean_shutdown", Cgcm_serve.Json.Bool clean);
-                       ] ))
-                 cells) );
-          ( "stability",
-            Cgcm_serve.Json.Obj
-              (List.map
-                 (fun (shards, r) ->
-                   ( Printf.sprintf "p99_ratio_shards%d" shards,
-                     Cgcm_serve.Json.Float r ))
-                 stability
-              @ [ ("within_bounds", Cgcm_serve.Json.Bool within_bounds) ]) );
-          ( "scaling",
-            Cgcm_serve.Json.Obj
-              [
-                ("rps_shards1", Cgcm_serve.Json.Float base_rps);
-                ( Printf.sprintf "rps_shards%d" top_shards,
-                  Cgcm_serve.Json.Float (rps_of top_shards) );
-                ("speedup_rps", Cgcm_serve.Json.Float speedup);
-                ("gate_applicable", Cgcm_serve.Json.Bool applicable);
-              ] );
-          ("clean_shutdowns", Cgcm_serve.Json.Bool all_clean);
-          ("scaling_ok", Cgcm_serve.Json.Bool scaling_ok);
-        ])
-  in
-  let path = "BENCH_9.json" in
-  let oc = open_out path in
-  output_string oc (Cgcm_serve.Json.print json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "%s@." (Cgcm_serve.Json.print json);
-  Fmt.pr "wrote %s@." path;
-  if not all_clean then begin
-    Fmt.epr "serve shards bench: a daemon did not shut down cleanly@.";
-    exit 1
-  end;
-  if not within_bounds then begin
-    Fmt.epr "serve shards bench: cross-seed p99 instability (bound 2.0)@.";
-    exit 1
-  end;
-  if not scaling_ok then begin
-    Fmt.epr
-      "serve shards bench: shards=%d delivered %.2fx the req/s of shards=1 \
-       on a %d-core host (gate: >= 2.0x)@."
-      top_shards speedup host_cores;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* mem-backend A/B: explicit copies vs paged migration -> BENCH_10.json *)
 
 (* Runs the full suite's optimized configuration under both memory
@@ -930,26 +726,20 @@ let () =
     let json = List.mem "--json" args in
     List.iter
       (fun a ->
-        let with_pfx pfx k =
-          let n = String.length pfx in
-          if String.length a > n && String.sub a 0 n = pfx then
-            k
-              (String.split_on_char ',' (String.sub a n (String.length a - n))
-              |> List.map int_of_string)
-        in
-        with_pfx "--seeds=" (fun v -> serve_seeds := v);
-        with_pfx "--shards=" (fun v -> serve_shard_counts := v))
+        let pfx = "--seeds=" in
+        let n = String.length pfx in
+        if String.length a > n && String.sub a 0 n = pfx then
+          serve_seeds :=
+            String.split_on_char ',' (String.sub a n (String.length a - n))
+            |> List.map int_of_string)
       args;
     List.iter
       (function
         | "--json" -> ()
         | a when String.length a > 8 && String.sub a 0 8 = "--seeds=" -> ()
-        | a when String.length a > 9 && String.sub a 0 9 = "--shards=" -> ()
         | "micro" when json -> micro_json ()
         | "membackend" -> membackend_json ()
-        | "serve" ->
-          serve_json ();
-          serve_shards_json ()
+        | "serve" -> serve_json ()
         | "figure4" -> figure4 ()
         | "table3" -> table3 ()
         | "table1" -> table1 ()

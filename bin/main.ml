@@ -839,21 +839,10 @@ let serve_cmd =
              warm residency, circuit breakers). If the file already holds \
              records from a previous run — crashed or clean — the daemon \
              replays them on startup and rebuilds its warm state before \
-             accepting connections. With --shards N > 1 each shard keeps \
-             its own segment at PATH.shardI.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Worker shards: each owns a full engine (compiled-module \
-             cache, warm residency, breakers, journal segment) on its own \
-             domain, with tenants hashed to shards deterministically. 1 \
-             (the default) keeps the original single-threaded loop.")
+             accepting connections.")
   in
   let f socket max_queue device_mem deadline max_retries backoff threshold
-      cache_entries faults journal_path shards =
+      cache_entries faults journal_path =
     guarded @@ fun () ->
     let config =
       {
@@ -869,7 +858,7 @@ let serve_cmd =
       }
     in
     let server =
-      Cgcm_serve.Server.create ~engine_config:config ?journal_path ~shards
+      Cgcm_serve.Server.create ~engine_config:config ?journal_path
         ~log:(fun s -> Fmt.epr "%s@." s)
         ~socket_path:socket ()
     in
@@ -885,13 +874,12 @@ let serve_cmd =
              Printf.sprintf ", %d stale records skipped"
                r.Cgcm_serve.Engine.rec_skipped
            else ""))
-      (Cgcm_serve.Server.recovered server);
+      (Cgcm_serve.Engine.recovered (Cgcm_serve.Server.engine server));
     let stop _ = Cgcm_serve.Server.stop server in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    Fmt.epr "cgcm serve: listening on %s (%d shard%s)@." socket shards
-      (if shards = 1 then "" else "s");
+    Fmt.epr "cgcm serve: listening on %s@." socket;
     let line, residual = Cgcm_serve.Server.run server in
     Fmt.pr "%s@." line;
     if residual <> 0 then exit 1
@@ -900,7 +888,7 @@ let serve_cmd =
     Term.(
       const f $ socket_arg $ max_queue_arg $ device_mem_arg $ deadline_arg
       $ max_retries_arg $ backoff_arg $ threshold_arg $ cache_arg $ faults_arg
-      $ journal_arg $ shards_arg)
+      $ journal_arg)
 
 let request_cmd =
   let doc =
@@ -1065,16 +1053,7 @@ let chaos_cmd =
       & info [ "no-torn-tail" ]
           ~doc:"Skip the injected torn journal record before the restart")
   in
-  let chaos_shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Run the daemons under test with N shards: the kill lands while \
-             several shard journal segments are live, and recovery must \
-             reassemble all of them")
-  in
-  let f seeds requests dir no_torn shards =
+  let f seeds requests dir no_torn =
     guarded @@ fun () ->
     let failed = ref false in
     List.iter
@@ -1084,7 +1063,6 @@ let chaos_cmd =
             (Cgcm_serve.Chaos.default_config ~seed ~dir) with
             Cgcm_serve.Chaos.ch_requests = requests;
             ch_torn_tail = not no_torn;
-            ch_shards = shards;
           }
         in
         let outcome = Cgcm_serve.Chaos.run cfg in
@@ -1113,8 +1091,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const f $ seeds_arg $ requests_arg $ dir_arg $ no_torn_arg
-      $ chaos_shards_arg)
+      const f $ seeds_arg $ requests_arg $ dir_arg $ no_torn_arg)
 
 let main_cmd =
   let doc = "CGCM: automatic CPU-GPU communication management (PLDI 2011)" in

@@ -22,7 +22,6 @@ type config = {
   ch_dir : string;
   ch_torn_tail : bool;
   ch_timeout_ms : int;
-  ch_shards : int;
 }
 
 let default_config ~seed ~dir =
@@ -32,7 +31,6 @@ let default_config ~seed ~dir =
     ch_dir = dir;
     ch_torn_tail = true;
     ch_timeout_ms = 20_000;
-    ch_shards = 1;
   }
 
 type schedule = { sc_reqs : Wire.request list; sc_kill_at : int }
@@ -133,10 +131,7 @@ let reference ~mode source =
 (* ------------------------------------------------------------------ *)
 (* Daemon child                                                        *)
 
-(* Forking is still safe with --shards: the child is single-domain at
-   fork time and only spawns its shard domains inside [Server.run],
-   after the fork. *)
-let spawn_daemon ~socket_path ~journal_path ~log_path ~shards =
+let spawn_daemon ~socket_path ~journal_path ~log_path =
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -149,7 +144,7 @@ let spawn_daemon ~socket_path ~journal_path ~log_path ~shards =
           output_char logc '\n';
           flush logc
         in
-        let srv = Server.create ~journal_path ~shards ~log ~socket_path () in
+        let srv = Server.create ~journal_path ~log ~socket_path () in
         Sys.set_signal Sys.sigterm
           (Sys.Signal_handle (fun _ -> Server.stop srv));
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -207,14 +202,10 @@ let run_schedule cfg (sched : schedule) : outcome =
   let name base = Filename.concat dir (Printf.sprintf "%s-%d" base cfg.ch_seed) in
   let socket_path = name "chaos.sock" in
   let journal_path = name "chaos.journal" in
-  let shards = max 1 cfg.ch_shards in
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  (* every shard segment must go: a leftover from a previous run would
-     make generation 1 recover instead of starting fresh *)
-  for i = 0 to shards - 1 do
-    try Unix.unlink (Journal.segment_path journal_path ~shards i)
-    with Unix.Unix_error _ -> ()
-  done;
+  (* a leftover journal from a previous run would make generation 1
+     recover instead of starting fresh *)
+  (try Unix.unlink journal_path with Unix.Unix_error _ -> ());
   let violations = ref [] in
   let vio phase detail =
     violations := { vio_phase = phase; vio_detail = detail } :: !violations
@@ -225,13 +216,10 @@ let run_schedule cfg (sched : schedule) : outcome =
   let torn_replay = ref false in
   (* keys whose compiled module a pre-kill reply vouched for: the
      journal recorded (and fsynced) the compile before that reply was
-     sent, so after recovery these must be cache hits. Keyed by
-     (shard, cache key): each shard has its own cache, so a module
-     vouched on one shard says nothing about another's. *)
-  let vouched : (int * string, unit) Hashtbl.t = Hashtbl.create 16 in
+     sent, so after recovery these must be cache hits. *)
+  let vouched : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let vouch_key (req : Wire.request) =
-    ( Shard.tenant_shard ~shards req.Wire.rq_tenant,
-      Engine.cache_key_of_mode ~mode:req.Wire.rq_mode req.Wire.rq_source )
+    Engine.cache_key_of_mode ~mode:req.Wire.rq_mode req.Wire.rq_source
   in
   let check_reply phase (req : Wire.request) (rp : Wire.reply) =
     if rp.Wire.rp_id <> req.Wire.rq_id then
@@ -255,7 +243,6 @@ let run_schedule cfg (sched : schedule) : outcome =
   (* --- generation 1: serve until the kill ------------------------- *)
   let pid1 =
     spawn_daemon ~socket_path ~journal_path ~log_path:(name "daemon1.log")
-      ~shards
   in
   if not (Client.wait_ready ~socket_path ()) then begin
     vio "startup" "first daemon never answered pings";
@@ -305,12 +292,10 @@ let run_schedule cfg (sched : schedule) : outcome =
     | _, st -> vio "kill" ("first daemon ended with " ^ wexit st)
     | exception Unix.Unix_error _ -> ());
     (* --- corruption: the torn tail -------------------------------- *)
-    if cfg.ch_torn_tail then
-      append_torn_record (Journal.segment_path journal_path ~shards 0);
+    if cfg.ch_torn_tail then append_torn_record journal_path;
     (* --- generation 2: recover and finish the schedule ------------ *)
     let pid2 =
       spawn_daemon ~socket_path ~journal_path ~log_path:(name "daemon2.log")
-        ~shards
     in
     if not (Client.wait_ready ~socket_path ()) then begin
       vio "recovery" "restarted daemon never answered pings";

@@ -30,16 +30,10 @@ type config = {
   ch_dir : string;  (** working directory for socket/journal/logs *)
   ch_torn_tail : bool;  (** append a torn record before the restart *)
   ch_timeout_ms : int;  (** per-request client timeout *)
-  ch_shards : int;
-      (** shard count for the daemons under test: the kill lands while
-          several per-shard journal segments are live, recovery must
-          reassemble all of them, and the hit-after-recovery gate is
-          tracked per shard (each has its own cache). The torn tail is
-          injected into shard 0's segment. *)
 }
 
 val default_config : seed:int -> dir:string -> config
-(** 30 requests, torn tail armed, 20 s request timeout, 1 shard. *)
+(** 30 requests, torn tail armed, 20 s request timeout. *)
 
 type schedule = {
   sc_reqs : Wire.request list;

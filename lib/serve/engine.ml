@@ -89,50 +89,7 @@ type stats = {
   mutable retries : int;
   mutable backoff_total_ms : float;
   mutable circuit_trips : int;
-  mutable batches : int;  (* fused cross-request episodes executed *)
-  mutable batched_runs : int;  (* requests that rode in a fused episode *)
-  mutable warm_coalesced : int;  (* per-request warms saved by fusion *)
 }
-
-let zero_stats () =
-  {
-    received = 0;
-    ok = 0;
-    shed = 0;
-    deadline_exceeded = 0;
-    circuit_rejected = 0;
-    failed = 0;
-    degraded_runs = 0;
-    retries = 0;
-    backoff_total_ms = 0.0;
-    circuit_trips = 0;
-    batches = 0;
-    batched_runs = 0;
-    warm_coalesced = 0;
-  }
-
-(* Cross-shard aggregation: a sharded daemon's global counters are by
-   definition the sums of its shards' counters (each request is owned
-   by exactly one shard). *)
-let sum_stats (l : stats list) : stats =
-  let acc = zero_stats () in
-  List.iter
-    (fun s ->
-      acc.received <- acc.received + s.received;
-      acc.ok <- acc.ok + s.ok;
-      acc.shed <- acc.shed + s.shed;
-      acc.deadline_exceeded <- acc.deadline_exceeded + s.deadline_exceeded;
-      acc.circuit_rejected <- acc.circuit_rejected + s.circuit_rejected;
-      acc.failed <- acc.failed + s.failed;
-      acc.degraded_runs <- acc.degraded_runs + s.degraded_runs;
-      acc.retries <- acc.retries + s.retries;
-      acc.backoff_total_ms <- acc.backoff_total_ms +. s.backoff_total_ms;
-      acc.circuit_trips <- acc.circuit_trips + s.circuit_trips;
-      acc.batches <- acc.batches + s.batches;
-      acc.batched_runs <- acc.batched_runs + s.batched_runs;
-      acc.warm_coalesced <- acc.warm_coalesced + s.warm_coalesced)
-    l;
-  acc
 
 (* What a restarted daemon reports about the state it rebuilt from the
    journal. *)
@@ -144,34 +101,6 @@ type recovery = {
   rec_tenants : int;  (* breaker states restored *)
   rec_skipped : int;  (* unreplayable records (corrupt mode/source) *)
 }
-
-(* Aggregate per-shard recoveries into the daemon-level report: counts
-   sum (each shard replays its own segment), and a torn tail anywhere
-   is a torn recovery. *)
-let sum_recoveries (l : recovery list) : recovery option =
-  match l with
-  | [] -> None
-  | l ->
-    Some
-      (List.fold_left
-         (fun acc r ->
-           {
-             rec_records = acc.rec_records + r.rec_records;
-             rec_torn = acc.rec_torn || r.rec_torn;
-             rec_compiled = acc.rec_compiled + r.rec_compiled;
-             rec_rewarmed = acc.rec_rewarmed + r.rec_rewarmed;
-             rec_tenants = acc.rec_tenants + r.rec_tenants;
-             rec_skipped = acc.rec_skipped + r.rec_skipped;
-           })
-         {
-           rec_records = 0;
-           rec_torn = false;
-           rec_compiled = 0;
-           rec_rewarmed = 0;
-           rec_tenants = 0;
-           rec_skipped = 0;
-         }
-         l)
 
 type t = {
   cfg : config;
@@ -188,9 +117,6 @@ type t = {
       (* suspended during recovery: the journal's initial snapshot
          already covers the state being rebuilt *)
   mutable recovered : recovery option;
-  par_ok : (string, bool) Hashtbl.t;
-      (* per-cache-key shardability verdicts, memoized for the batching
-         eligibility gate *)
 }
 
 let create ?(config = default_config) ?journal () =
@@ -200,12 +126,23 @@ let create ?(config = default_config) ?journal () =
     res = Residency.create ~device_mem:config.device_mem ();
     queue = Queue.create ();
     tenants = Hashtbl.create 8;
-    stats = zero_stats ();
+    stats =
+      {
+        received = 0;
+        ok = 0;
+        shed = 0;
+        deadline_exceeded = 0;
+        circuit_rejected = 0;
+        failed = 0;
+        degraded_runs = 0;
+        retries = 0;
+        backoff_total_ms = 0.0;
+        circuit_trips = 0;
+      };
     attempt_counter = 0;
     journal;
     journaling = true;
     recovered = None;
-    par_ok = Hashtbl.create 16;
   }
 
 let config t = t.cfg
@@ -403,17 +340,11 @@ let submit t (req : Wire.request) deliver =
     `Queued
   end
 
-(* Shed with an explicit reason, counting the request as received: the
-   router path for requests rejected at the door — a draining daemon
-   ("draining", so clients can tell "busy" from "dead") or a shard
-   whose router-side in-flight bound tripped ("queue"). Runs on the
-   shard that owns the stats, never on the router. *)
-let shed_request t (req : Wire.request) deliver ~reason =
-  t.stats.received <- t.stats.received + 1;
-  shed t req deliver ~reason
-
+(* A draining daemon sheds every new request with the same typed reply
+   admission uses, so clients can tell "busy" from "dead". *)
 let shed_draining t (req : Wire.request) deliver =
-  shed_request t req deliver ~reason:"draining"
+  t.stats.received <- t.stats.received + 1;
+  shed t req deliver ~reason:"draining"
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -527,12 +458,7 @@ let finish_breaker st ~threshold ~probation ~trips exn_opt =
     end
   | Some _ -> ()
 
-(* [warm=false] defers residency warming to the caller (the batching
-   layer, which pays one warm per fused episode instead of one per
-   request). Everything else — execution, breakers, retries, leak
-   checks — is identical, which is what keeps batched replies
-   bit-identical to unbatched ones. *)
-let process_raw ?(warm = true) t (req : Wire.request) : Wire.reply =
+let process_raw t (req : Wire.request) : Wire.reply =
   let st = tenant_state t req.rq_tenant in
   let t0 = Unix.gettimeofday () in
   let wall_ms () = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -581,7 +507,7 @@ let process_raw ?(warm = true) t (req : Wire.request) : Wire.reply =
           end
           else begin
             t.stats.ok <- t.stats.ok + 1;
-            if warm && warmable && not degraded then
+            if warmable && not degraded then
               warm_after t ~tenant:req.rq_tenant ~key ~mode
                 ~source:req.rq_source compiled;
             reply ~id:req.rq_id ~wall_ms:(wall_ms ()) ~cache ~degraded
@@ -635,10 +561,10 @@ let breaker_of_journal = function
    path; journal it so a restarted daemon neither forgets an open
    circuit (letting a failing tenant hammer the device again) nor
    invents one. *)
-let process ?warm t (req : Wire.request) : Wire.reply =
+let process t (req : Wire.request) : Wire.reply =
   let st = tenant_state t req.rq_tenant in
   let before = (st.t_breaker, st.t_consec, st.t_trips) in
-  let r = process_raw ?warm t req in
+  let r = process_raw t req in
   if (st.t_breaker, st.t_consec, st.t_trips) <> before then
     journal_append t
       (Journal.Breaker
@@ -661,116 +587,6 @@ let step t =
     Residency.check_invariants t.res;
     deliver r;
     true
-
-(* ------------------------------------------------------------------ *)
-(* Cross-request batching                                              *)
-
-(* Fairness bound: a fused episode never starves the rest of the queue
-   for more than this many requests. *)
-let max_batch = 32
-
-(* A request may join a fused episode only when fusing cannot perturb
-   behavior:
-
-   - unbounded device memory, so skipping intermediate warms cannot
-     change the per-run available-memory computation or the high-water
-     admission check (under a finite device the per-request path runs);
-   - no per-request fault plan (execution still re-rolls the daemon-wide
-     plan identically either way, but a request-scoped always-fail plan
-     marks a test probing exact per-request behavior);
-   - the compiled module is already cached AND passes the parallel
-     engine's shardability scan — statically-known launch shapes are
-     the "compatible launches" the fused episode relies on. An uncached
-     module's first run pays the compile; its repeats fuse. *)
-let batchable t (req : Wire.request) =
-  t.cfg.device_mem = max_int
-  && req.rq_faults = None
-  &&
-  match plan_of_mode req.rq_mode with
-  | exception _ -> false
-  | parallel, level, _, _, _ -> (
-    let key = cache_key parallel level req.rq_source in
-    match Hashtbl.find_opt t.par_ok key with
-    | Some b -> b
-    | None -> (
-      match Cache.peek t.cache key with
-      | None -> false
-      | Some (c : Pipeline.compiled) ->
-        let b = Interp.module_shardable c.Pipeline.modul in
-        Hashtbl.replace t.par_ok key b;
-        b))
-
-(* Execute one fused episode: the maximal run of consecutive queued
-   requests from the same tenant for the same compiled module (same
-   mode and source). Each request still executes exactly as the
-   per-request path would — fresh interpreter, own deadline, own
-   breaker accounting — so every reply is bit-identical to an unbatched
-   run; what the episode fuses is the residency warm (map/release of
-   the tenant's device globals), paid once at the end instead of once
-   per request. Returns the number of requests processed (0 = empty
-   queue). *)
-let step_batch t =
-  match Queue.take_opt t.queue with
-  | None -> 0
-  | Some ((req0, _) as head) ->
-    let group = ref [ head ] in
-    let n = ref 1 in
-    if batchable t req0 then begin
-      let same (r : Wire.request) =
-        r.Wire.rq_tenant = req0.Wire.rq_tenant
-        && r.Wire.rq_mode = req0.Wire.rq_mode
-        && r.Wire.rq_source = req0.Wire.rq_source
-        && r.Wire.rq_faults = None
-      in
-      let continue = ref true in
-      while !continue && !n < max_batch do
-        match Queue.peek_opt t.queue with
-        | Some (r, _) when same r ->
-          group := Queue.take t.queue :: !group;
-          incr n
-        | _ -> continue := false
-      done
-    end;
-    if !n = 1 then begin
-      let req, deliver = head in
-      let r = process t req in
-      Residency.check_invariants t.res;
-      deliver r;
-      1
-    end
-    else begin
-      let ok_runs = ref 0 in
-      List.iter
-        (fun ((req : Wire.request), deliver) ->
-          let r = process ~warm:false t req in
-          Residency.check_invariants t.res;
-          if r.Wire.rp_status = Wire.Ok && not r.Wire.rp_degraded then
-            incr ok_runs;
-          deliver r)
-        (List.rev !group);
-      (* One warm for the whole episode, exactly what the last
-         successful per-request warm would have established. *)
-      (match plan_of_mode req0.Wire.rq_mode with
-      | exception _ -> ()
-      | parallel, level, imode, _, backend ->
-        let warmable =
-          (match imode with Interp.Unified -> false | _ -> true)
-          && backend = Mem_backend.Explicit
-        in
-        if !ok_runs > 0 && warmable then begin
-          let key = cache_key parallel level req0.Wire.rq_source in
-          match Cache.peek t.cache key with
-          | Some compiled ->
-            warm_after t ~tenant:req0.Wire.rq_tenant ~key
-              ~mode:req0.Wire.rq_mode ~source:req0.Wire.rq_source compiled;
-            Residency.check_invariants t.res;
-            t.stats.warm_coalesced <- t.stats.warm_coalesced + (!ok_runs - 1)
-          | None -> ()
-        end);
-      t.stats.batches <- t.stats.batches + 1;
-      t.stats.batched_runs <- t.stats.batched_runs + !n;
-      !n
-    end
 
 let drain t = while step t do () done
 
@@ -852,18 +668,13 @@ let recover t (rp : Journal.replay) : recovery =
   t.recovered <- Some info;
   info
 
-let final_line_of ~(stats : stats) ~cross_evictions ~cache_hit_rate ~residual
-    =
+let final_line t ~residual =
+  let s = t.stats in
   Printf.sprintf
     "serve: received=%d ok=%d shed=%d deadline=%d circuit_open=%d errors=%d \
      degraded=%d retries=%d trips=%d cross_evictions=%d cache_hit_rate=%.2f \
      backoff_ms=%.1f device_leaks=%d"
-    stats.received stats.ok stats.shed stats.deadline_exceeded
-    stats.circuit_rejected stats.failed stats.degraded_runs stats.retries
-    stats.circuit_trips cross_evictions cache_hit_rate stats.backoff_total_ms
-    residual
-
-let final_line t ~residual =
-  final_line_of ~stats:t.stats
-    ~cross_evictions:(Residency.cross_evictions t.res)
-    ~cache_hit_rate:(cache_hit_rate t) ~residual
+    s.received s.ok s.shed s.deadline_exceeded s.circuit_rejected s.failed
+    s.degraded_runs s.retries s.circuit_trips
+    (Residency.cross_evictions t.res)
+    (cache_hit_rate t) s.backoff_total_ms residual

@@ -39,15 +39,7 @@ type stats = {
   mutable retries : int;
   mutable backoff_total_ms : float;
   mutable circuit_trips : int;
-  mutable batches : int;  (** fused cross-request episodes executed *)
-  mutable batched_runs : int;  (** requests that rode in a fused episode *)
-  mutable warm_coalesced : int;  (** per-request warms saved by fusion *)
 }
-
-val sum_stats : stats list -> stats
-(** Cross-shard aggregation: every counter summed. A sharded daemon's
-    global stats are exactly the sums of its shards' stats, because each
-    request is owned by exactly one shard. *)
 
 type recovery = {
   rec_records : int;  (** intact journal records replayed *)
@@ -57,10 +49,6 @@ type recovery = {
   rec_tenants : int;  (** breaker states restored *)
   rec_skipped : int;  (** unreplayable records (corrupt mode/source) *)
 }
-
-val sum_recoveries : recovery list -> recovery option
-(** Aggregate per-shard recoveries: counts sum, torn if any shard's
-    replay was torn; [None] for the empty list (no shard replayed). *)
 
 type t
 
@@ -98,39 +86,20 @@ val submit :
     high-water mark — the latter also evicts one LRU warm unit so the
     pressure clears). *)
 
-val shed_request :
-  t -> Wire.request -> (Wire.reply -> unit) -> reason:string -> unit
-(** Shed a request at the door with a typed [Overloaded] reply carrying
-    [reason], counting it as received. The sharded router forwards
-    door-rejections here so every stat mutation happens on the engine's
-    owning shard. *)
-
 val shed_draining : t -> Wire.request -> (Wire.reply -> unit) -> unit
-(** [shed_request ~reason:"draining"]: a request that arrived while the
-    daemon drains for shutdown. *)
+(** Shed a request that arrived while the daemon drains for shutdown:
+    counted as received, answered with a typed [Overloaded] reply whose
+    reason is ["draining"]. *)
 
 val step : t -> bool
 (** Execute one queued request, deliver its reply, and audit the shared
     residency invariants. False when the queue is empty. *)
 
-val step_batch : t -> int
-(** Execute one fused episode: the maximal run (bounded for fairness)
-    of consecutive queued requests from the same tenant for the same
-    compiled module, eligible only when fusing cannot perturb behavior
-    (unbounded device memory, no per-request fault plan, module cached
-    and passing the parallel engine's shardability scan). Every request
-    executes exactly as {!step} would — replies stay bit-identical —
-    but the episode pays one residency warm instead of one per request.
-    Returns the number of requests processed; 0 when the queue is
-    empty. *)
-
 val drain : t -> unit
 
-val process : ?warm:bool -> t -> Wire.request -> Wire.reply
+val process : t -> Wire.request -> Wire.reply
 (** Execute one request immediately, bypassing the queue (used by
-    {!step} and by tests that want synchronous replies). [warm=false]
-    (default true) defers residency warming to the caller — the
-    batching layer's hook. *)
+    {!step} and by tests that want synchronous replies). *)
 
 val shutdown : t -> int
 (** Drain the queue, then tear down all warm residency and return the
@@ -140,12 +109,3 @@ val final_line : t -> residual:int -> string
 (** The daemon's final stats line: received/ok/shed/deadline/
     circuit_open/errors/degraded/retries/trips/cross-evictions/cache hit
     rate/backoff/leaks. *)
-
-val final_line_of :
-  stats:stats ->
-  cross_evictions:int ->
-  cache_hit_rate:float ->
-  residual:int ->
-  string
-(** {!final_line} over explicit (typically cross-shard aggregated)
-    values. *)

@@ -261,13 +261,6 @@ type t = {
   mutable closed : bool;
 }
 
-(* Per-shard journal segments: a sharded daemon gives each shard its
-   own journal file so appends never cross domains. With one shard the
-   base path is used unchanged, keeping single-shard journals (and
-   every existing recovery artifact) byte-compatible. *)
-let segment_path base ~shards i =
-  if shards <= 1 then base else Printf.sprintf "%s.shard%d" base i
-
 let path t = t.jpath
 let state t = t.st
 let stats t = { j_appends = t.appends; j_snapshots = t.snapshots; j_fsyncs = t.fsyncs }

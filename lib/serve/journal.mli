@@ -83,13 +83,6 @@ val state : t -> state
 val path : t -> string
 val close : t -> unit
 
-val segment_path : string -> shards:int -> int -> string
-(** The journal file for shard [i] of a [shards]-way daemon: the base
-    path itself when [shards <= 1] (byte-compatible with single-shard
-    journals), otherwise [base.shardI]. Tenants hash to shards
-    deterministically, so a restart with the same shard count replays
-    each tenant's state into the same shard. *)
-
 type jstats = {
   j_appends : int;
   j_snapshots : int;  (** rotations taken *)

@@ -1,26 +1,21 @@
-(* The cgcm serve daemon: a select-driven unix-socket router over a
-   {!Shard} group of request {!Engine}s.
+(* The cgcm serve daemon: a single-threaded unix-socket server over one
+   request {!Engine}.
 
-   The router owns everything socket-shaped — accepting connections,
-   framing, write-back, lifecycle — and nothing engine-shaped. A "run"
-   frame is decoded, its tenant hashed to a shard, and the request
-   posted to that shard's inbox; the reply comes back through the
-   group's outbox tagged with the connection token it belongs to. With
-   [shards = 1] (the default) no worker domains exist and the router
-   drives the single engine inline, one queued request per loop
-   iteration — the original single-threaded daemon, byte for byte.
-   With [shards > 1] the router keeps reading and writing sockets while
-   the shards compute: I/O and execution overlap, and tenants on
-   different shards no longer queue behind each other's episodes.
+   One select-driven event loop owns everything — accepting connections,
+   framing, admission, execution, write-back — so there is no locking
+   and the crash-only discipline is easy to state: between any two
+   event-loop iterations the shared state (compile cache, residency,
+   breakers, journal) is consistent, and a fatal error can simply kill
+   the process without a recovery protocol beyond the journal replay
+   {!create} performs. Requests are admitted (or shed) the moment their
+   frame arrives; one queued request executes per loop iteration, so
+   admission keeps rejecting new load with [Overloaded] replies while a
+   burst drains instead of buffering it invisibly. Each reply goes to
+   the connection that sent the request, looked up by a per-connection
+   token (never by file descriptor, which the kernel reuses) so a reply
+   whose peer has hung up is simply dropped.
 
-   Even router-side door rejections (draining, the per-shard in-flight
-   bound) are forwarded to the owning shard as shed messages, so every
-   stat mutation happens on the shard's domain; the router's only reads
-   of live engine state are the stats op's aggregation, which is
-   documented stale-but-safe (racy reads of word-sized counters) and
-   exact once the daemon quiesces.
-
-   Lifecycle hardening (unchanged from the single-loop daemon):
+   Lifecycle hardening:
 
    - startup probes an existing socket file instead of clobbering it: a
      live daemon behind it is a typed [Serve_socket_busy] refusal, a
@@ -37,7 +32,7 @@
 module Errors = Cgcm_support.Errors
 
 type conn = {
-  token : int;  (* routes replies back from the shard outbox *)
+  token : int;  (* routes the engine's replies back to this peer *)
   fd : Unix.file_descr;
   dec : Wire.decoder;
   mutable out : Bytes.t list;  (* pending write-back, oldest first *)
@@ -47,14 +42,12 @@ type conn = {
 }
 
 type t = {
-  shards : Shard.group;
+  engine : Engine.t;
   socket_path : string;
   listen_fd : Unix.file_descr;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   by_token : (int, conn) Hashtbl.t;
   mutable next_token : int;
-  inflight_by_shard : int array;  (* posted minus replied, per shard *)
-  mutable inflight : int;
   log : string -> unit;
   read_deadline_s : float;
   drain_grace_s : float;
@@ -81,7 +74,7 @@ let socket_live path =
       | exception Unix.Unix_error _ -> false)
 
 let create ?(engine_config = Engine.default_config) ?journal ?journal_path
-    ?(shards = 1) ?(read_deadline_s = 10.0) ?(drain_grace_s = 10.0)
+    ?(read_deadline_s = 10.0) ?(drain_grace_s = 10.0)
     ?(log = ignore) ~socket_path () =
   (if Sys.file_exists socket_path then
      if socket_live socket_path then
@@ -92,22 +85,37 @@ let create ?(engine_config = Engine.default_config) ?journal ?journal_path
             socket_path);
        try Unix.unlink socket_path with Unix.Unix_error _ -> ()
      end);
-  let group =
-    Shard.create ~engine_config ?journal ?journal_path ~count:shards ()
+  (* Recover before binding: a daemon answers its first ping only with
+     the journaled caches, warmth and breakers rebuilt. A pre-built
+     [journal] handle wins over [journal_path] and is not replayed. *)
+  let journal, replayed =
+    match (journal, journal_path) with
+    | Some j, _ -> (Some j, None)
+    | None, Some path ->
+      let replayed = Journal.replay ~path in
+      let j =
+        Journal.create ~path
+          ?initial:(Option.map (fun r -> r.Journal.rp_state) replayed)
+          ()
+      in
+      (Some j, replayed)
+    | None, None -> (None, None)
   in
+  let engine = Engine.create ~config:engine_config ?journal () in
+  Option.iter
+    (fun rp -> ignore (Engine.recover engine rp : Engine.recovery))
+    replayed;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 64;
   Unix.set_nonblock listen_fd;
   {
-    shards = group;
+    engine;
     socket_path;
     listen_fd;
     conns = Hashtbl.create 16;
     by_token = Hashtbl.create 16;
     next_token = 0;
-    inflight_by_shard = Array.make (Shard.count group) 0;
-    inflight = 0;
     log;
     read_deadline_s;
     drain_grace_s;
@@ -116,10 +124,7 @@ let create ?(engine_config = Engine.default_config) ?journal ?journal_path
     listening = true;
   }
 
-let engine t = Shard.engine t.shards 0
-let group t = t.shards
-let shards t = Shard.count t.shards
-let recovered t = Shard.recovered t.shards
+let engine t = t.engine
 let stop t = t.stopping <- true
 let draining t = t.draining
 
@@ -170,33 +175,13 @@ let send_error_and_drop t c msg =
     drop_conn t c
   end
 
-(* Aggregated across shards. Off the router's domain these are racy
-   reads of word-sized counters — stale but never torn (OCaml memory
-   model); once the daemon quiesces (replies drained through the outbox
-   mutex) they are exact. *)
 let stats_json t : Json.t =
-  let engines = Shard.engines t.shards in
-  let el = Array.to_list engines in
-  let s = Engine.sum_stats (List.map Engine.stats el) in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) e ->
-        let c = Engine.cache_stats e in
-        (h + c.Cache.hits, m + c.Cache.misses))
-      (0, 0) el
-  in
-  let hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let sum f = List.fold_left (fun acc e -> acc + f e) 0 el in
-  let journal_stats =
-    List.filter_map (fun e -> Option.map Journal.stats (Engine.journal e)) el
-  in
+  let e = t.engine in
+  let s = Engine.stats e in
+  let c = Engine.cache_stats e in
   Obj
     ([
        ("status", Json.Str "ok");
-       ("shards", Json.Int (Shard.count t.shards));
        ("received", Json.Int s.Engine.received);
        ("ok", Json.Int s.Engine.ok);
        ("shed", Json.Int s.Engine.shed);
@@ -206,33 +191,25 @@ let stats_json t : Json.t =
        ("degraded", Json.Int s.Engine.degraded_runs);
        ("retries", Json.Int s.Engine.retries);
        ("trips", Json.Int s.Engine.circuit_trips);
-       ("batches", Json.Int s.Engine.batches);
-       ("batched_runs", Json.Int s.Engine.batched_runs);
-       ("warm_coalesced", Json.Int s.Engine.warm_coalesced);
-       ("pending", Json.Int (t.inflight + sum Engine.pending));
-       ("cache_hits", Json.Int hits);
-       ("cache_misses", Json.Int misses);
-       ("cache_hit_rate", Json.Float hit_rate);
-       ( "warm_bytes",
-         Json.Int (sum (fun e -> Residency.warm_bytes (Engine.residency e))) );
+       ("pending", Json.Int (Engine.pending e));
+       ("cache_hits", Json.Int c.Cache.hits);
+       ("cache_misses", Json.Int c.Cache.misses);
+       ("cache_hit_rate", Json.Float (Engine.cache_hit_rate e));
+       ("warm_bytes", Json.Int (Residency.warm_bytes (Engine.residency e)));
        ( "cross_evictions",
-         Json.Int
-           (sum (fun e -> Residency.cross_evictions (Engine.residency e))) );
+         Json.Int (Residency.cross_evictions (Engine.residency e)) );
        ("draining", Json.Bool t.draining);
      ]
-    @ (match journal_stats with
-      | [] -> []
-      | js ->
+    @ (match Engine.journal e with
+      | Some j ->
+        let js = Journal.stats j in
         [
-          ( "journal_appends",
-            Json.Int
-              (List.fold_left (fun a j -> a + j.Journal.j_appends) 0 js) );
-          ( "journal_snapshots",
-            Json.Int
-              (List.fold_left (fun a j -> a + j.Journal.j_snapshots) 0 js) );
-        ])
+          ("journal_appends", Json.Int js.Journal.j_appends);
+          ("journal_snapshots", Json.Int js.Journal.j_snapshots);
+        ]
+      | None -> [])
     @
-    match Shard.recovered t.shards with
+    match Engine.recovered e with
     | Some r ->
       [
         ("recovered", Json.Bool true);
@@ -244,30 +221,21 @@ let stats_json t : Json.t =
       ]
     | None -> [])
 
-(* The router's own admission bound, active only with worker domains:
-   a shard whose inbox + engine queue already hold twice its admission
-   window is shed at the door (the shard still owns the stat and the
-   typed reply). The engine's queue bound alone cannot see requests
-   sitting in the inbox. *)
-let router_bound cfg = (2 * cfg.Engine.max_queue) + 2
+(* Replies travel by token: the peer may have hung up (and its fd been
+   reused by a newer peer) by the time the engine answers, in which case
+   the reply is dropped — its work still counted in the stats. *)
+let deliver_to t token reply =
+  match Hashtbl.find_opt t.by_token token with
+  | Some c -> send t c (Wire.reply_to_json reply)
+  | None -> ()
 
 let handle_frame t c (v : Json.t) =
   match Json.str_field ~default:"run" "op" v with
   | "run" ->
     let req = Wire.request_of_json v in
-    let sh = Shard.shard_of t.shards req.Wire.rq_tenant in
-    let shed =
-      if t.draining then Some "draining"
-      else if
-        (not (Shard.inline t.shards))
-        && t.inflight_by_shard.(sh)
-           >= router_bound (Shard.engine_config t.shards)
-      then Some "queue"
-      else None
-    in
-    t.inflight_by_shard.(sh) <- t.inflight_by_shard.(sh) + 1;
-    t.inflight <- t.inflight + 1;
-    Shard.post t.shards ~shard:sh ~token:c.token ?shed req
+    let deliver = deliver_to t c.token in
+    if t.draining then Engine.shed_draining t.engine req deliver
+    else ignore (Engine.submit t.engine req deliver : [ `Queued | `Shed ])
   | "ping" -> send t c (Obj [ ("status", Json.Str "ok") ])
   | "stats" -> send t c (stats_json t)
   | "shutdown" ->
@@ -360,19 +328,6 @@ let enforce_read_deadlines t =
            t.read_deadline_s))
     stale
 
-(* Route finished replies back to their connections. A reply whose peer
-   vanished mid-flight is dropped (its work still counted on the
-   shard); in-flight accounting always decrements. *)
-let route_replies t =
-  List.iter
-    (fun (token, sh, reply) ->
-      t.inflight_by_shard.(sh) <- t.inflight_by_shard.(sh) - 1;
-      t.inflight <- t.inflight - 1;
-      match Hashtbl.find_opt t.by_token token with
-      | Some c -> send t c (Wire.reply_to_json reply)
-      | None -> ())
-    (Shard.drain_replies t.shards)
-
 let iterate t =
   let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.conns [] in
   let wfds =
@@ -380,15 +335,8 @@ let iterate t =
       t.conns []
   in
   let rfds_in = if t.listening then t.listen_fd :: conn_fds else conn_fds in
-  let rfds_in =
-    match Shard.wake_fd t.shards with
-    | Some fd -> fd :: rfds_in
-    | None -> rfds_in
-  in
-  (* Inline: block only when idle; with work queued, poll and keep
-     executing. Sharded: block up to the tick — the wake pipe interrupts
-     the select the instant a shard finishes a reply. *)
-  let timeout = if Shard.pending_inline t.shards > 0 then 0.0 else 0.05 in
+  (* Block only when idle; with work queued, poll and keep executing. *)
+  let timeout = if Engine.pending t.engine > 0 then 0.0 else 0.05 in
   let rfds, wready, _ =
     try Unix.select rfds_in wfds [] timeout
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -402,8 +350,7 @@ let iterate t =
         | None -> ())
     rfds;
   enforce_read_deadlines t;
-  Shard.step_inline t.shards;
-  route_replies t;
+  ignore (Engine.step t.engine : bool);
   List.iter
     (fun fd ->
       match Hashtbl.find_opt t.conns fd with
@@ -428,7 +375,6 @@ let close_listener t =
    still execute and their replies flush before teardown, while frames
    that arrive during the drain are shed with a typed reply. *)
 let run t =
-  Shard.start t.shards;
   while not t.stopping do
     iterate t
   done;
@@ -437,7 +383,7 @@ let run t =
   t.log "serve: draining (in-flight requests finish, new work is shed)";
   let deadline = Unix.gettimeofday () +. t.drain_grace_s in
   while
-    (t.inflight > 0 || pending_writes t)
+    (Engine.pending t.engine > 0 || pending_writes t)
     && Unix.gettimeofday () < deadline
   do
     iterate t
@@ -447,27 +393,7 @@ let run t =
   Hashtbl.reset t.conns;
   Hashtbl.reset t.by_token;
   close_listener t;
-  let residual = Shard.stop t.shards in
-  let el = Array.to_list (Shard.engines t.shards) in
-  let stats = Engine.sum_stats (List.map Engine.stats el) in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) e ->
-        let c = Engine.cache_stats e in
-        (h + c.Cache.hits, m + c.Cache.misses))
-      (0, 0) el
-  in
-  let cache_hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let cross_evictions =
-    List.fold_left
-      (fun acc e -> acc + Residency.cross_evictions (Engine.residency e))
-      0 el
-  in
-  let line =
-    Engine.final_line_of ~stats ~cross_evictions ~cache_hit_rate ~residual
-  in
+  let residual = Engine.shutdown t.engine in
+  let line = Engine.final_line t.engine ~residual in
   t.log line;
   (line, residual)

@@ -1,14 +1,11 @@
-(** The [cgcm serve] daemon: a select-driven unix-socket router over a
-    {!Shard} group of request {!Engine}s.
+(** The [cgcm serve] daemon: a single-threaded, select-driven
+    unix-socket server over one request {!Engine}.
 
-    The router owns the sockets; shards own the engines. A "run" frame's
-    tenant hashes to a shard, the request travels through that shard's
-    inbox, and the reply returns through the group outbox tagged with
-    its connection token. With [shards = 1] (the default) no worker
-    domains exist and the router drives the single engine inline — the
-    original single-threaded daemon exactly. With [shards > 1] socket
-    I/O overlaps shard execution, and each shard fuses compatible
-    consecutive requests into batched episodes.
+    One event loop owns accepting, framing, admission, execution and
+    write-back, so shared state is consistent between iterations —
+    crash-only by construction. Admission happens the moment a request
+    frame arrives; one queued request executes per iteration, so bursts
+    are shed at the door rather than buffered invisibly.
 
     Lifecycle hardening: startup probes (rather than clobbers) an
     existing socket file; {!stop} triggers a graceful drain; peers that
@@ -21,7 +18,6 @@ val create :
   ?engine_config:Engine.config ->
   ?journal:Journal.t ->
   ?journal_path:string ->
-  ?shards:int ->
   ?read_deadline_s:float ->
   ?drain_grace_s:float ->
   ?log:(string -> unit) ->
@@ -31,25 +27,15 @@ val create :
 (** Bind and listen on [socket_path]. An existing socket file is probed
     first: a live daemon behind it raises
     [Cgcm_support.Errors.Serve_socket_busy]; a dead daemon's stale file
-    is reclaimed. [shards] (default 1) sets the worker-domain count;
-    [journal_path] makes each shard replay, re-create and recover its
-    own journal segment before serving ({!Journal.segment_path} — the
-    base path itself when [shards = 1]). [journal] hands a pre-built
-    journal to a single-shard daemon (the legacy path; raises
-    [Invalid_argument] with [shards > 1]). [read_deadline_s] (default
-    10) bounds how long a peer may hold a frame open (slow-loris);
+    is reclaimed. [journal_path] makes the daemon replay that journal,
+    re-create it from the replayed state and {!Engine.recover} before
+    serving; [journal] instead hands a pre-built journal to the engine
+    as is (it wins when both are given). Either way the engine records
+    every durable fact before replying. [read_deadline_s] (default 10)
+    bounds how long a peer may hold a frame open (slow-loris);
     [drain_grace_s] (default 10) bounds the graceful drain. *)
 
 val engine : t -> Engine.t
-(** Shard 0's engine. With [shards > 1] this is only safe for racy stat
-    reads or after {!run} returns; single-shard tests may drive it
-    directly as before. *)
-
-val group : t -> Shard.group
-val shards : t -> int
-
-val recovered : t -> Engine.recovery option
-(** Aggregated journal recovery across shards. *)
 
 val stop : t -> unit
 (** Ask {!run} to wind down after the current iteration (signal-handler
@@ -64,6 +50,5 @@ val run : t -> string * int
     the listen socket closes and unlinks immediately (new connects fail
     fast), queued requests execute, replies flush, late frames on
     surviving connections are shed with a typed [Overloaded] reply —
-    all bounded by the drain grace. Spawns the worker domains on entry
-    and joins them on the way out. Returns the aggregated final stats
-    line and the summed residual device block count (0 = leak-free). *)
+    all bounded by the drain grace. Returns the final stats line and
+    the residual device block count (0 = leak-free). *)

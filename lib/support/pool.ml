@@ -1,20 +1,13 @@
-(* Persistent domain pools for data-parallel batches.
+(* A persistent domain pool for data-parallel batches.
 
    OCaml domains are heavyweight (each one owns a minor heap and a slot
-   in the runtime's fixed-size domain table), so a pool spawns workers
-   once and keeps them forever: callers that repeatedly run small
-   batches — one per simulated kernel launch — pay only a mutex
+   in the runtime's fixed-size domain table), so the pool spawns workers
+   once per process and keeps them forever: callers that repeatedly run
+   small batches — one per simulated kernel launch — pay only a mutex
    round-trip per batch, not a domain spawn. Workers sleep on a
    condition variable between batches.
 
-   Pools are instances with an explicit worker cap, so independent
-   subsystems (the parallel engine's kernel pool, the serve daemon's
-   shards) each size their own pool instead of fighting over one
-   process-wide pool whose size was fixed by whoever ran first. The
-   historical process-global API ([run]/[size]) survives as a default
-   instance.
-
-   A pool runs one batch at a time. [run_in t ~jobs n f] publishes the
+   The pool runs one batch at a time. [run ~jobs n f] publishes the
    batch under the pool mutex, wakes the workers, and then participates
    itself, so a batch of [n] tasks is executed by up to
    [min jobs n] domains (the caller plus [jobs - 1] workers). Tasks are
@@ -47,70 +40,51 @@ type batch = {
   mutable failure : exn option;  (* first task exception, re-raised by run *)
 }
 
-type t = {
-  cap : int;  (* workers this pool may ever spawn *)
-  lock : Mutex.t;
-  work_available : Condition.t;
-  batch_finished : Condition.t;
-  mutable current : batch option;
-  mutable workers : int;  (* workers spawned so far (lazily, <= cap) *)
-}
-
-let create ?(workers = max_jobs - 1) () =
-  {
-    cap = max 0 (min workers (max_jobs - 1));
-    lock = Mutex.create ();
-    work_available = Condition.create ();
-    batch_finished = Condition.create ();
-    current = None;
-    workers = 0;
-  }
+let lock = Mutex.create ()
+let work_available = Condition.create ()
+let batch_finished = Condition.create ()
+let current : batch option ref = ref None
+let workers = ref 0
 
 (* Claim and execute tasks from [b] until none remain. Called with
-   [t.lock] held; returns with [t.lock] held. *)
-let drain t b =
+   [lock] held; returns with [lock] held. *)
+let drain b =
   while b.next < b.n do
     let i = b.next in
     b.next <- i + 1;
-    Mutex.unlock t.lock;
+    Mutex.unlock lock;
     let result = try Ok (b.task i) with e -> Error e in
-    Mutex.lock t.lock;
+    Mutex.lock lock;
     (match result with
     | Ok () -> ()
     | Error e -> if b.failure = None then b.failure <- Some e);
     b.unfinished <- b.unfinished - 1;
-    if b.unfinished = 0 then Condition.broadcast t.batch_finished
+    if b.unfinished = 0 then Condition.broadcast batch_finished
   done
 
-let rec worker_loop t =
-  Mutex.lock t.lock;
+let rec worker_loop () =
+  Mutex.lock lock;
   let rec await () =
-    match t.current with
+    match !current with
     | Some b when b.next < b.n -> b
     | _ ->
-      Condition.wait t.work_available t.lock;
+      Condition.wait work_available lock;
       await ()
   in
   let b = await () in
-  drain t b;
-  Mutex.unlock t.lock;
-  worker_loop t
+  drain b;
+  Mutex.unlock lock;
+  worker_loop ()
 
-(* Called with [t.lock] held. *)
-let ensure_workers t k =
-  let k = min k t.cap in
-  while t.workers < k do
-    ignore (Domain.spawn (fun () -> worker_loop t));
-    t.workers <- t.workers + 1
+let ensure_workers k =
+  while !workers < k do
+    ignore (Domain.spawn worker_loop);
+    incr workers
   done
 
-let size_of t =
-  Mutex.lock t.lock;
-  let n = t.workers + 1 in
-  Mutex.unlock t.lock;
-  n
+let size () = !workers + 1
 
-let run_in t ~jobs n task =
+let run ~jobs n task =
   if n <= 0 then ()
   else if jobs <= 1 || n = 1 then
     for i = 0 to n - 1 do
@@ -118,27 +92,19 @@ let run_in t ~jobs n task =
     done
   else begin
     let jobs = min jobs max_jobs in
-    Mutex.lock t.lock;
-    ensure_workers t (jobs - 1);
-    (* One batch at a time: each pool's owner is single-threaded outside
-       the pool, so a nested or concurrent batch on the SAME pool
-       indicates a bug (distinct pools may overlap freely). *)
-    assert (t.current = None);
+    ensure_workers (jobs - 1);
+    Mutex.lock lock;
+    (* One batch at a time: the simulator is single-threaded outside the
+       pool, so a nested or concurrent [run] indicates a bug. *)
+    assert (!current = None);
     let b = { task; n; next = 0; unfinished = n; failure = None } in
-    t.current <- Some b;
-    Condition.broadcast t.work_available;
-    drain t b;
+    current := Some b;
+    Condition.broadcast work_available;
+    drain b;
     while b.unfinished > 0 do
-      Condition.wait t.batch_finished t.lock
+      Condition.wait batch_finished lock
     done;
-    t.current <- None;
-    Mutex.unlock t.lock;
+    current := None;
+    Mutex.unlock lock;
     match b.failure with Some e -> raise e | None -> ()
   end
-
-(* The process-global default instance behind the historical API: sized
-   lazily by the first batch that needs workers, exactly as before. *)
-let default = lazy (create ())
-
-let run ~jobs n task = run_in (Lazy.force default) ~jobs n task
-let size () = size_of (Lazy.force default)

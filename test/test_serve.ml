@@ -41,7 +41,6 @@ module Errors = Cgcm_support.Errors
 module Cache = Cgcm_serve.Cache
 module Residency = Cgcm_serve.Residency
 module Engine = Cgcm_serve.Engine
-module Shard = Cgcm_serve.Shard
 module Server = Cgcm_serve.Server
 module Client = Cgcm_serve.Client
 module Loadgen = Cgcm_serve.Loadgen
@@ -954,269 +953,113 @@ let test_client_timeout () =
         (Unix.gettimeofday () -. t0 < 5.0))
 
 (* ------------------------------------------------------------------ *)
-(* Sharding: tenant placement, stats aggregation, batching, and the    *)
-(* sharded daemon end to end                                           *)
+(* The daemon end to end: stats accounting and journal restart         *)
 
-(* The placement hash is a load-bearing contract: it must be a pure
-   function of (name, shard count) — stable across processes, restarts
-   and tenant-set growth — or journal recovery would land a tenant's
-   warm state on the wrong shard. The golden values pin the algorithm
-   itself (FNV-1a/32): an accidental hash change shows up here before it
-   silently resharded every deployment's journals. *)
-let test_tenant_shard_placement () =
-  List.iter
-    (fun (tenant, shards, want) ->
-      check Alcotest.int
-        (Printf.sprintf "placement of %s over %d" tenant shards)
-        want
-        (Shard.tenant_shard ~shards tenant))
-    [
-      ("t0", 4, 1); ("t1", 4, 2); ("t2", 4, 3); ("t3", 4, 0);
-      ("t0", 2, 1); ("t1", 2, 0); ("anything", 1, 0); ("", 1, 0);
-    ];
-  (* stable under tenant growth: adding tenants never moves old ones *)
-  let before = List.init 8 (fun i -> Shard.tenant_shard ~shards:4 (Printf.sprintf "t%d" i)) in
-  let after =
-    List.init 64 (fun i -> Shard.tenant_shard ~shards:4 (Printf.sprintf "t%d" i))
-    |> List.filteri (fun i _ -> i < 8)
-  in
-  check Alcotest.(list int) "growth does not move tenants" before after;
-  (* in range, and not degenerate: 64 tenants over 4 shards must touch
-     every shard *)
-  let used = Array.make 4 0 in
-  for i = 0 to 63 do
-    let s = Shard.tenant_shard ~shards:4 (Printf.sprintf "tenant-%d" i) in
-    check Alcotest.bool "placement in range" true (s >= 0 && s < 4);
-    used.(s) <- used.(s) + 1
-  done;
-  Array.iteri
-    (fun i n ->
-      check Alcotest.bool (Printf.sprintf "shard %d not starved" i) true (n > 0))
-    used
-
-(* Global stats must be exactly the sums of per-shard stats: each
-   request is owned by one shard, so nothing is double-counted. *)
-let test_sum_stats () =
-  let a : Engine.stats =
-    {
-      received = 10; ok = 6; shed = 2; deadline_exceeded = 1;
-      circuit_rejected = 1; failed = 0; degraded_runs = 3; retries = 4;
-      backoff_total_ms = 1.5; circuit_trips = 1; batches = 2;
-      batched_runs = 5; warm_coalesced = 3;
-    }
-  in
-  let b : Engine.stats =
-    {
-      received = 7; ok = 5; shed = 0; deadline_exceeded = 2;
-      circuit_rejected = 0; failed = 0; degraded_runs = 0; retries = 1;
-      backoff_total_ms = 0.25; circuit_trips = 0; batches = 1;
-      batched_runs = 2; warm_coalesced = 1;
-    }
-  in
-  let s = Engine.sum_stats [ a; b ] in
-  check Alcotest.int "received" 17 s.Engine.received;
-  check Alcotest.int "ok" 11 s.Engine.ok;
-  check Alcotest.int "shed" 2 s.Engine.shed;
-  check Alcotest.int "deadline" 3 s.Engine.deadline_exceeded;
-  check Alcotest.int "circuit" 1 s.Engine.circuit_rejected;
-  check Alcotest.int "degraded" 3 s.Engine.degraded_runs;
-  check Alcotest.int "retries" 5 s.Engine.retries;
-  check (Alcotest.float 1e-9) "backoff" 1.75 s.Engine.backoff_total_ms;
-  check Alcotest.int "trips" 1 s.Engine.circuit_trips;
-  check Alcotest.int "batches" 3 s.Engine.batches;
-  check Alcotest.int "batched_runs" 7 s.Engine.batched_runs;
-  check Alcotest.int "warm_coalesced" 4 s.Engine.warm_coalesced;
-  (match
-     Engine.sum_recoveries
-       [
-         {
-           Engine.rec_records = 3; rec_torn = false; rec_compiled = 2;
-           rec_rewarmed = 1; rec_tenants = 0; rec_skipped = 0;
-         };
-         {
-           Engine.rec_records = 5; rec_torn = true; rec_compiled = 1;
-           rec_rewarmed = 2; rec_tenants = 1; rec_skipped = 1;
-         };
-       ]
-   with
-  | Some r ->
-    check Alcotest.int "recovery records sum" 8 r.Engine.rec_records;
-    check Alcotest.bool "torn if any shard torn" true r.Engine.rec_torn;
-    check Alcotest.int "compiled sum" 3 r.Engine.rec_compiled;
-    check Alcotest.int "rewarmed sum" 3 r.Engine.rec_rewarmed;
-    check Alcotest.int "tenants sum" 1 r.Engine.rec_tenants;
-    check Alcotest.int "skipped sum" 1 r.Engine.rec_skipped
-  | None -> Alcotest.fail "sum of two recoveries is Some");
-  check Alcotest.bool "empty recovery list is None" true
-    (Engine.sum_recoveries [] = None)
-
-(* Cross-request batching: once a module is cached and shardable, a run
-   of queued same-tenant requests fuses into one episode — bit-identical
-   replies, one deferred warm instead of one per request. *)
-let test_step_batch_fuses () =
-  let eng = Engine.create () in
-  let src = Loadgen.source ~variant:1 in
-  let want_output, want_exit = reference ~mode:"opt" src in
-  let replies = ref [] in
-  let submit id =
-    match
-      Engine.submit eng
-        (request ~id ~tenant:"batch" src)
-        (fun rp -> replies := (id, rp) :: !replies)
-    with
-    | `Queued -> ()
-    | `Shed -> Alcotest.fail "request shed under default config"
-  in
-  List.iter submit [ 1; 2; 3; 4; 5 ];
-  (* head of queue is uncached: the first episode executes it alone *)
-  check Alcotest.int "first episode is a singleton" 1 (Engine.step_batch eng);
-  (* now the module is cached and shardable: the rest fuse *)
-  check Alcotest.int "second episode fuses the rest" 4 (Engine.step_batch eng);
-  check Alcotest.int "queue drained" 0 (Engine.pending eng);
-  check Alcotest.int "all replies delivered" 5 (List.length !replies);
-  List.iter
-    (fun (id, (rp : Wire.reply)) ->
-      check_status (Printf.sprintf "request %d ok" id) Wire.Ok rp;
-      check Alcotest.string
-        (Printf.sprintf "request %d bit-identical" id)
-        want_output rp.Wire.rp_output;
-      check Alcotest.int
-        (Printf.sprintf "request %d exit code" id)
-        want_exit rp.Wire.rp_exit_code)
-    !replies;
-  let s = Engine.stats eng in
-  check Alcotest.int "one fused episode" 1 s.Engine.batches;
-  check Alcotest.int "four riders" 4 s.Engine.batched_runs;
-  check Alcotest.int "three warms coalesced" 3 s.Engine.warm_coalesced;
-  check Alcotest.int "leak-free shutdown" 0 (Engine.shutdown eng)
-
-(* Restart determinism: a 2-shard group journals per shard; a fresh
-   group over the same segments recovers each tenant's modules on the
-   shard that owned them, so the first post-restart request is a cache
-   hit on its home shard. No sockets or domains involved — the group is
-   driven directly. *)
-let test_shard_journal_restart () =
-  let base = tmp_path "shard.journal" in
-  let shards = 2 in
-  for i = 0 to shards - 1 do
-    try Unix.unlink (Journal.segment_path base ~shards i)
-    with Unix.Unix_error _ -> ()
-  done;
-  let tenants = [ "t0"; "t1"; "t2"; "t3" ] in
-  let srcs = List.map (fun v -> Loadgen.source ~variant:v) [ 0; 1 ] in
-  let g1 = Shard.create ~journal_path:base ~count:shards () in
-  check Alcotest.bool "fresh group has no recovery" true
-    (Shard.recovered g1 = None);
-  List.iteri
-    (fun i tenant ->
-      List.iter
-        (fun src ->
-          let e = Shard.engine g1 (Shard.tenant_shard ~shards tenant) in
-          let rp = Engine.process e (request ~id:i ~tenant src) in
-          check_status "gen1 request ok" Wire.Ok rp)
-        srcs)
-    tenants;
-  check Alcotest.int "gen1 leak-free" 0 (Shard.stop g1);
-  for i = 0 to shards - 1 do
-    check Alcotest.bool
-      (Printf.sprintf "segment %d exists" i)
-      true
-      (Sys.file_exists (Journal.segment_path base ~shards i))
-  done;
-  (* restart: same base path, same shard count *)
-  let g2 = Shard.create ~journal_path:base ~count:shards () in
-  (match Shard.recovered g2 with
-  | Some r ->
-    check Alcotest.bool "recovered records" true (r.Engine.rec_records > 0);
-    check Alcotest.bool "modules recompiled" true (r.Engine.rec_compiled > 0);
-    check Alcotest.bool "no torn segments" false r.Engine.rec_torn
-  | None -> Alcotest.fail "restarted group reports no recovery");
-  List.iteri
-    (fun i tenant ->
-      List.iter
-        (fun src ->
-          let e = Shard.engine g2 (Shard.tenant_shard ~shards tenant) in
-          let rp = Engine.process e (request ~id:(100 + i) ~tenant src) in
-          check_status "post-restart request ok" Wire.Ok rp;
-          check Alcotest.string
-            (Printf.sprintf "%s hits its home shard's recovered cache" tenant)
-            "hit" rp.Wire.rp_cache)
-        srcs)
-    tenants;
-  check Alcotest.int "gen2 leak-free" 0 (Shard.stop g2);
-  for i = 0 to shards - 1 do
-    try Unix.unlink (Journal.segment_path base ~shards i)
-    with Unix.Unix_error _ -> ()
-  done
-
-(* The sharded daemon end to end: worker domains, the reply outbox, and
-   the router's aggregation — every Ok reply still bit-identical to a
-   fresh single-shot run, stats global = sum of shards, clean leak-free
-   teardown. *)
-let test_sharded_socket_round_trip () =
-  let path = tmp_path "sharded.sock" in
+(* Run a daemon on [path] in a thread for the duration of [f]; returns
+   [f]'s result with the daemon's (final line, residual device blocks). *)
+let with_daemon ?journal_path path f =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let srv = Server.create ~shards:2 ~log:(fun _ -> ()) ~socket_path:path () in
-  check Alcotest.int "daemon reports two shards" 2 (Server.shards srv);
+  let srv =
+    Server.create ?journal_path ~log:(fun _ -> ()) ~socket_path:path ()
+  in
   let result = ref None in
   let daemon = Thread.create (fun () -> result := Some (Server.run srv)) () in
-  let finally () =
-    Server.stop srv;
-    Thread.join daemon;
-    try Unix.unlink path with Unix.Unix_error _ -> ()
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop srv;
+        Thread.join daemon;
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+      (fun () ->
+        check Alcotest.bool "daemon came up" true
+          (Client.wait_ready ~socket_path:path ());
+        f ())
   in
-  Fun.protect ~finally @@ fun () ->
-  check Alcotest.bool "daemon came up" true
-    (Client.wait_ready ~socket_path:path ());
-  let cases =
-    (* t0 and t1 land on different shards (see the placement test) *)
-    [
-      (1, "t0", "opt", 0); (2, "t1", "opt", 1); (3, "t0", "seq", 2);
-      (4, "t1", "unopt", 3); (5, "t0", "opt", 0); (6, "t1", "opt", 1);
-    ]
-  in
-  List.iter
-    (fun (id, tenant, mode, variant) ->
-      let src = Loadgen.source ~variant in
-      let want_output, want_exit = reference ~mode src in
-      let rp =
-        Client.request ~socket_path:path (request ~id ~tenant ~mode src)
-      in
-      check_status (Printf.sprintf "request %d ok" id) Wire.Ok rp;
-      check Alcotest.int (Printf.sprintf "request %d id echo" id) id
-        rp.Wire.rp_id;
-      check Alcotest.string
-        (Printf.sprintf "request %d bit-identical" id)
-        want_output rp.Wire.rp_output;
-      check Alcotest.int
-        (Printf.sprintf "request %d exit code" id)
-        want_exit rp.Wire.rp_exit_code)
-    cases;
-  (* repeats hit each shard's own cache *)
-  let rp =
-    Client.request ~socket_path:path
-      (request ~id:7 ~tenant:"t0" (Loadgen.source ~variant:0))
-  in
-  check Alcotest.string "t0 repeat hits shard cache" "hit" rp.Wire.rp_cache;
-  let st = Client.stats ~socket_path:path in
-  check Alcotest.int "stats report the shard count" 2
-    (Json.int_field "shards" st);
-  check Alcotest.int "aggregated received covers every request" 7
-    (Json.int_field "received" st);
-  check Alcotest.int "aggregated ok covers every request" 7
-    (Json.int_field "ok" st);
-  check Alcotest.bool "daemon acknowledged shutdown" true
-    (Client.shutdown ~socket_path:path);
-  Thread.join daemon;
   match !result with
-  | Some (line, residual) ->
-    check Alcotest.int "leak-free teardown across shards" 0 residual;
-    check Alcotest.bool "final line reports no leaks" true
-      (contains ~affix:"device_leaks=0" line);
-    (* the aggregated final line must account for every request *)
-    check Alcotest.bool "final line sums the shards" true
-      (contains ~affix:"received=7 ok=7" line)
+  | Some fin -> (v, fin)
   | None -> Alcotest.fail "daemon thread returned nothing"
+
+(* Three run frames and a stats frame in ONE write: the daemon admits
+   all three before it executes any, so the stats reply sees exactly
+   three queued requests, each counted once. *)
+let test_stats_pending_counts_once () =
+  let path = tmp_path "pending.sock" in
+  let src = Loadgen.source ~variant:0 in
+  let want_output, _ = reference ~mode:"opt" src in
+  let (), (_, residual) =
+    with_daemon path @@ fun () ->
+    Client.with_conn path @@ fun fd ->
+    let frames =
+      List.map
+        (fun id -> Wire.encode_frame (Wire.request_to_json (request ~id src)))
+        [ 1; 2; 3 ]
+      @ [ Wire.encode_frame (Json.Obj [ ("op", Json.Str "stats") ]) ]
+    in
+    let buf = Bytes.concat Bytes.empty frames in
+    check Alcotest.int "one write carries all four frames" (Bytes.length buf)
+      (Unix.write fd buf 0 (Bytes.length buf));
+    let replies = List.init 4 (fun _ -> Wire.read_frame fd) in
+    let stats, runs =
+      List.partition (fun v -> Json.member "pending" v <> None) replies
+    in
+    (match stats with
+    | [ st ] ->
+      check Alcotest.int "pending counts each queued request once" 3
+        (Json.int_field "pending" st)
+    | _ -> Alcotest.fail "expected exactly one stats reply");
+    List.iter
+      (fun v ->
+        let rp = Wire.reply_of_json v in
+        check_status "queued request ok" Wire.Ok rp;
+        check Alcotest.string "queued reply bit-identical" want_output
+          rp.Wire.rp_output)
+      runs;
+    check Alcotest.int "nothing pending once answered" 0
+      (Json.int_field "pending" (Client.stats ~socket_path:path))
+  in
+  check Alcotest.int "leak-free teardown" 0 residual
+
+(* [Server.create ~journal_path] replays, re-creates and recovers the
+   journal before serving: a restarted daemon answers a module it
+   compiled before the restart from its rebuilt cache, bit-identically. *)
+let test_daemon_journal_restart () =
+  let path = tmp_path "restart.sock" in
+  let journal_path = tmp_path "restart.journal" in
+  (try Unix.unlink journal_path with Unix.Unix_error _ -> ());
+  let src = Loadgen.source ~variant:1 in
+  let want_output, want_exit = reference ~mode:"opt" src in
+  let ask id tenant =
+    Client.request ~socket_path:path (request ~id ~tenant src)
+  in
+  let rp, (_, residual1) =
+    with_daemon ~journal_path path @@ fun () ->
+    check Alcotest.bool "fresh daemon reports no recovery" false
+      (Json.bool_field ~default:false "recovered"
+         (Client.stats ~socket_path:path));
+    ask 1 "t0"
+  in
+  check_status "first generation ok" Wire.Ok rp;
+  check Alcotest.string "first generation compiles" "miss" rp.Wire.rp_cache;
+  check Alcotest.int "first generation leak-free" 0 residual1;
+  let (st, rp), (_, residual2) =
+    with_daemon ~journal_path path @@ fun () ->
+    let st = Client.stats ~socket_path:path in
+    (st, ask 2 "t1")
+  in
+  check Alcotest.bool "restart reports a recovery" true
+    (Json.bool_field ~default:false "recovered" st);
+  check Alcotest.bool "restart recompiled the module" true
+    (Json.int_field "recovered_modules" st >= 1);
+  check Alcotest.bool "restart replay is untorn" false
+    (Json.bool_field "journal_torn" st);
+  check_status "restarted daemon ok" Wire.Ok rp;
+  check Alcotest.string "recovered module is a cache hit" "hit"
+    rp.Wire.rp_cache;
+  check Alcotest.string "post-restart reply bit-identical" want_output
+    rp.Wire.rp_output;
+  check Alcotest.int "post-restart exit code" want_exit rp.Wire.rp_exit_code;
+  check Alcotest.int "second generation leak-free" 0 residual2;
+  Unix.unlink journal_path
 
 let tests =
   [
@@ -1261,14 +1104,8 @@ let tests =
       test_stale_socket;
     Alcotest.test_case "client timeout on a wedged daemon" `Quick
       test_client_timeout;
-    Alcotest.test_case "tenant placement is deterministic and stable" `Quick
-      test_tenant_shard_placement;
-    Alcotest.test_case "global stats are the sum of shard stats" `Quick
-      test_sum_stats;
-    Alcotest.test_case "cross-request batching fuses bit-identically" `Quick
-      test_step_batch_fuses;
-    Alcotest.test_case "shard journals recover on the owning shard" `Quick
-      test_shard_journal_restart;
-    Alcotest.test_case "sharded daemon round-trip on the socket" `Quick
-      test_sharded_socket_round_trip;
+    Alcotest.test_case "stats pending counts each queued request once"
+      `Quick test_stats_pending_counts_once;
+    Alcotest.test_case "daemon restart recovers from its journal" `Quick
+      test_daemon_journal_restart;
   ]
