@@ -248,6 +248,129 @@ let serve_paged_suffix () =
   check Alcotest.int "no residency warmed by a paged request" 0
     (Cgcm_serve.Residency.warm_bytes (Engine.residency eng2))
 
+(* ------------------------------------------------------------------ *)
+(* Golden pin of every communication strategy                           *)
+
+(* The differential tests above compare engines and backends with each
+   other, so a change that shifts both sides at once passes them. This
+   golden file pins the absolute results instead: for each small suite
+   program under each strategy (and both paged pairs under the tree
+   walker, plus opt under the sanitizer) it records the exit code,
+   output, every simulated clock in exact hex-float form, instruction
+   counts, device, run-time and page statistics, the leak report and
+   the sanitizer report. Regenerate with
+   CGCM_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test
+   membackend *)
+
+let golden_configs =
+  let open Pipeline in
+  [
+    ("seq", Sequential, Interp.Closures, Mem_backend.Explicit, false);
+    ("unopt", Cgcm_unoptimized, Interp.Closures, Mem_backend.Explicit, false);
+    ("opt", Cgcm_optimized, Interp.Closures, Mem_backend.Explicit, false);
+    ("ie", Inspector_executor_exec, Interp.Closures, Mem_backend.Explicit, false);
+    ("unopt+paged", Cgcm_unoptimized, Interp.Closures, Mem_backend.Paged, false);
+    ("opt+paged", Cgcm_optimized, Interp.Closures, Mem_backend.Paged, false);
+    ("unopt+paged/tree", Cgcm_unoptimized, Interp.Tree_walk, Mem_backend.Paged,
+     false);
+    ("opt+paged/tree", Cgcm_optimized, Interp.Tree_walk, Mem_backend.Paged,
+     false);
+    ("opt/sanitize", Cgcm_optimized, Interp.Closures, Mem_backend.Explicit, true);
+  ]
+
+let render_result buf (r : Interp.result) =
+  let p fmt = Printf.bprintf buf fmt in
+  p "exit %Ld\n" r.Interp.exit_code;
+  p "output %S\n" r.Interp.output;
+  p "cycles wall=%h cpu=%h gpu=%h comm=%h sync=%h\n" r.Interp.wall
+    r.Interp.cpu_compute r.Interp.gpu r.Interp.comm r.Interp.sync;
+  p "insts cpu=%d kernel=%d\n" r.Interp.cpu_insts r.Interp.kernel_insts;
+  let d = r.Interp.dev_stats in
+  p "dev htod=%d/%d dtoh=%d/%d launches=%d insts=%d kernel=%h comm=%h \
+     sync=%h\n"
+    d.Device.htod_bytes d.Device.htod_count d.Device.dtoh_bytes
+    d.Device.dtoh_count d.Device.launches d.Device.kernel_insts
+    d.Device.kernel_cycles d.Device.comm_cycles d.Device.sync_cycles;
+  let s = r.Interp.rt_stats in
+  p "rt map=%d unmap=%d release=%d map_array=%d skipped_unmaps=%d \
+     skipped_copies=%d partial=%d saved=%d evictions=%d retries=%d \
+     fallbacks=%d\n"
+    s.Runtime.map_calls s.Runtime.unmap_calls s.Runtime.release_calls
+    s.Runtime.map_array_calls s.Runtime.skipped_unmaps
+    s.Runtime.skipped_copies s.Runtime.partial_copies s.Runtime.bytes_saved
+    s.Runtime.evictions s.Runtime.retries s.Runtime.cpu_fallbacks;
+  (match r.Interp.page_stats with
+  | Some g ->
+    p "pages touches=%d pages=%d to_dev=%d/%d to_host=%d/%d\n"
+      g.Paged.touches g.Paged.touched_pages g.Paged.faults_to_dev
+      g.Paged.bytes_to_dev g.Paged.faults_to_host g.Paged.bytes_to_host
+  | None -> p "pages none\n");
+  let l = r.Interp.leaks in
+  p "leaks nonglobal=%d global=%d refs=%d blocks=%d bytes=%d\n"
+    l.Runtime.resident_nonglobal l.Runtime.resident_global
+    l.Runtime.refcount_sum l.Runtime.leaked_dev_blocks
+    l.Runtime.leaked_dev_bytes;
+  match r.Interp.san_report with
+  | Some rep -> p "san %s\n" (Cgcm_sanitizer.Sanitizer.render_report rep)
+  | None -> p "san none\n"
+
+let render_golden () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (cname, exec, engine, backend, sanitize) ->
+          Printf.bprintf buf "== %s %s\n" name cname;
+          render_result buf
+            (snd (Pipeline.run ~engine ~backend ~sanitize exec src)))
+        golden_configs)
+    Test_fastpath.small_programs;
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let golden_strategies () =
+  let got = render_golden () in
+  let file = "strategies.golden" in
+  match Sys.getenv_opt "CGCM_UPDATE_GOLDEN" with
+  | Some dir ->
+    let oc = open_out_bin (Filename.concat dir file) in
+    output_string oc got;
+    close_out oc
+  | None -> (
+    (* dune runtest runs in the test directory with golden/ staged as a
+       dep; dune exec from the repo root sees the source tree instead *)
+    match
+      List.find_opt Sys.file_exists
+        [ Filename.concat "golden" file;
+          Filename.concat (Filename.concat "test" "golden") file ]
+    with
+    | None ->
+      Alcotest.failf
+        "golden file %s missing — regenerate with \
+         CGCM_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- \
+         test membackend"
+        file
+    | Some path ->
+      (* report the first differing line, not two 100 KB strings *)
+      let want = String.split_on_char '\n' (read_file path)
+      and have = String.split_on_char '\n' got in
+      let rec first i = function
+        | w :: ws, h :: hs -> if w = h then first (i + 1) (ws, hs) else Some (i, w, h)
+        | [], [] -> None
+        | w :: _, [] -> Some (i, w, "<end of output>")
+        | [], h :: _ -> Some (i, "<end of file>", h)
+      in
+      match first 1 (want, have) with
+      | None -> ()
+      | Some (i, w, h) ->
+        Alcotest.failf "%s line %d differs:\n  golden: %s\n  actual: %s" file
+          i w h)
+
 let tests =
   [
     Alcotest.test_case "backend differential (unopt, suite)" `Slow
@@ -264,4 +387,6 @@ let tests =
     Alcotest.test_case "bytesize: golden error message" `Quick
       bytesize_error_golden;
     Alcotest.test_case "serve: +paged mode suffix" `Slow serve_paged_suffix;
+    Alcotest.test_case "golden: every strategy on the small suite" `Slow
+      golden_strategies;
   ]
