@@ -411,19 +411,8 @@ let run_cmd =
            config, --chaos must mutate the module between compile and
            run, and the pass-pipeline surfaces need compile-time knobs
            Pipeline.run does not expose *)
-        let level, imode =
-          match mode with
-          | Pipeline.Sequential -> (Pipeline.Unmanaged, Interp.Unified)
-          | Pipeline.Cgcm_unoptimized -> (Pipeline.Managed, Interp.Split)
-          | Pipeline.Cgcm_optimized -> (Pipeline.Optimized, Interp.Split)
-          | Pipeline.Inspector_executor_exec ->
-            (Pipeline.Unmanaged, Interp.Inspector_executor)
-          | Pipeline.Unified_oracle l -> (l, Interp.Unified)
-        in
-        let parallel =
-          match mode with
-          | Pipeline.Sequential -> Cgcm_frontend.Doall.Off
-          | _ -> Cgcm_frontend.Doall.Auto
+        let parallel, level, imode, dirty_spans =
+          Pipeline.execution_config mode
         in
         let cost =
           match device_mem with
@@ -456,7 +445,7 @@ let run_cmd =
         Interp.run
           ~config:
             { Interp.default_config with Interp.mode = imode; cost; trace;
-              profile; faults; sanitize; engine; jobs; backend }
+              profile; dirty_spans; faults; sanitize; engine; jobs; backend }
           c.Pipeline.modul
       end
       else

@@ -81,21 +81,33 @@ let execution_to_string = function
   | Inspector_executor_exec -> "inspector-executor"
   | Unified_oracle _ -> "unified-oracle"
 
-let run ?(parallel = Doall.Auto) ?(cost = Cgcm_gpusim.Cost_model.default)
+(* How an execution configuration compiles and runs: (DOALL mode, level,
+   interpreter mode, dirty spans). The sequential baseline has no DOALL
+   and no management; explicitly written kernels (the manual-
+   parallelization path) still carry launch statements, so it executes
+   in unified memory, where kernels run as ordinary host loops charged
+   as CPU time. Dirty-span transfers are part of the optimized run-time;
+   the unoptimized configuration keeps the paper's whole-unit protocol
+   so the Figure 4 contrast measures what the paper measures. *)
+let execution_config ?(parallel = Doall.Auto) = function
+  | Sequential -> (Doall.Off, Unmanaged, Interp.Unified, false)
+  | Cgcm_unoptimized -> (parallel, Managed, Interp.Split, false)
+  | Cgcm_optimized -> (parallel, Optimized, Interp.Split, true)
+  | Inspector_executor_exec ->
+    (parallel, Unmanaged, Interp.Inspector_executor, false)
+  | Unified_oracle level -> (parallel, level, Interp.Unified, false)
+
+let run ?parallel ?(cost = Cgcm_gpusim.Cost_model.default)
     ?(trace = false) ?(engine = Interp.default_config.Interp.engine)
     ?dirty_spans ?faults ?device_mem ?page_bytes ?(paranoid = false)
     ?(sanitize = false) ?(jobs = 0)
     ?(backend = Cgcm_runtime.Mem_backend.Explicit) (execution : execution)
     (source : string) : compiled * Interp.result =
-  (* Dirty-span transfers are part of the optimized run-time; the
-     unoptimized configuration keeps the paper's whole-unit protocol so
-     the Figure 4 contrast measures what the paper measures. An explicit
-     [dirty_spans] overrides for A/B experiments. *)
-  let dirty_spans =
-    match dirty_spans with
-    | Some b -> b
-    | None -> ( match execution with Cgcm_optimized -> true | _ -> false)
+  let parallel, level, mode, default_spans =
+    execution_config ?parallel execution
   in
+  (* an explicit [dirty_spans] overrides for A/B experiments *)
+  let dirty_spans = Option.value dirty_spans ~default:default_spans in
   let cost =
     match device_mem with
     | Some bytes -> { cost with Cgcm_gpusim.Cost_model.device_mem_bytes = bytes }
@@ -106,7 +118,7 @@ let run ?(parallel = Doall.Auto) ?(cost = Cgcm_gpusim.Cost_model.default)
     | Some bytes -> { cost with Cgcm_gpusim.Cost_model.page_bytes = bytes }
     | None -> cost
   in
-  let config mode =
+  let config =
     {
       Interp.default_config with
       mode;
@@ -121,23 +133,5 @@ let run ?(parallel = Doall.Auto) ?(cost = Cgcm_gpusim.Cost_model.default)
       backend;
     }
   in
-  match execution with
-  | Sequential ->
-    (* No DOALL, no management. Explicitly-written kernels (the manual-
-       parallelization path) still carry launch statements, so the
-       baseline executes in unified memory: kernels run as ordinary host
-       loops and their instructions are charged as CPU time. *)
-    let c = compile ~parallel:Doall.Off ~level:Unmanaged source in
-    (c, Interp.run ~config:(config Interp.Unified) c.modul)
-  | Cgcm_unoptimized ->
-    let c = compile ~parallel ~level:Managed source in
-    (c, Interp.run ~config:(config Interp.Split) c.modul)
-  | Cgcm_optimized ->
-    let c = compile ~parallel ~level:Optimized source in
-    (c, Interp.run ~config:(config Interp.Split) c.modul)
-  | Inspector_executor_exec ->
-    let c = compile ~parallel ~level:Unmanaged source in
-    (c, Interp.run ~config:(config Interp.Inspector_executor) c.modul)
-  | Unified_oracle level ->
-    let c = compile ~parallel ~level source in
-    (c, Interp.run ~config:(config Interp.Unified) c.modul)
+  let c = compile ~parallel ~level source in
+  (c, Interp.run ~config c.modul)

@@ -59,6 +59,15 @@ type execution =
 
 val execution_to_string : execution -> string
 
+val execution_config :
+  ?parallel:Doall.mode -> execution -> Doall.mode * level * Interp.mode * bool
+(** [(parallel, level, mode, dirty_spans)]: how an execution
+    configuration compiles and runs. {!Sequential} compiles with DOALL
+    off at {!Unmanaged} and runs in {!Interp.Unified}; the others use
+    [parallel] (default [Auto]). [dirty_spans] is on only for
+    {!Cgcm_optimized}. {!run}, the CLI's hand-built path and the serve
+    daemon all take their configuration from here. *)
+
 val run :
   ?parallel:Doall.mode ->
   ?cost:Cgcm_gpusim.Cost_model.t ->
@@ -75,7 +84,8 @@ val run :
   execution ->
   string ->
   compiled * Interp.result
-(** Compile and execute CGC source under the given configuration.
+(** Compile and execute CGC source under the given configuration
+    ({!execution_config}).
 
     [engine] selects the interpreter engine (default
     {!Interp.default_config}'s, i.e. the closure-compiled one).

@@ -1,7 +1,7 @@
 (* IR interpreter with a split CPU/GPU memory model and the analytic cost
    model attached.
 
-   Two execution modes:
+   Three execution modes ([config.mode]):
    - [Split]   the real model: kernels execute against device memory, all
                data movement must go through the CGCM run-time (or explicit
                driver calls), and the clock advances per the cost model.
@@ -10,6 +10,12 @@
                Every transformed program must produce the same observable
                output under [Unified] as the untransformed program — the
                differential tests lean on this.
+   - [Inspector_executor] the idealized baseline of Section 6.3 (see the
+               [mode] type below).
+
+   [run] resolves the mode and the memory backend once into one
+   communication strategy (the [strategy] type below); every site that
+   depends on how data moves matches that one value.
 
    Three execution engines:
    - [Closures]  the default: each function is pre-decoded once per run
@@ -78,7 +84,7 @@ type config = {
   paranoid : bool;
   (* shadow-memory coherence sanitizer: mirror every allocation unit
      with a byte-version map and fail fast on stale reads, lost updates,
-     premature releases and double frees (Split mode only) *)
+     premature releases and double frees (explicit strategy only) *)
   sanitize : bool;
   (* Parallel engine only: how many domains execute kernel launches
      (0 = CGCM_JOBS / Domain.recommended_domain_count). With jobs = 1
@@ -186,12 +192,34 @@ type cblock = {
 
 type cfunc = { cfn : Ir.func; cblocks : cblock array; nlocals : int }
 
+(* The run's communication strategy: [config.mode] × [config.backend],
+   resolved once by [run]. The backend only matters under [Split], so
+   seq+paged, ie+paged and unified+paged run as the bare mode.
+   - [Unified]   one flat memory: the cgcm.* intrinsics are identities
+                 and kernel work is CPU work.
+   - [Inspector] the inspector-executor baseline: kernels run on host
+                 memory while the access hook records the units they
+                 touch; every launch then pays a sequential inspection
+                 and one-byte-per-unit oracle transfers.
+   - [Explicit]  CGCM's split memories: the run-time's map/unmap/release
+                 move the data and kernels run against device memory.
+   - [Paged]     one shared address space with touch-driven page
+                 migration: the cgcm.* intrinsics are identities and
+                 every access pays a Paged.touch. *)
+type strategy =
+  | Unified
+  | Inspector
+  | Explicit of Runtime.t
+  | Paged of Paged.t
+
 type machine = {
   m : Ir.modul;
   host : Memspace.t;
   dev : Device.t;
+  (* run-time statistics, kept under every strategy; only [Explicit]
+     drives the run-time's management surface *)
   rt : Runtime.t;
-  mode : mode;
+  strat : strategy;
   engine : engine;
   cost : Cost_model.t;
   funcs : (string, Ir.func) Hashtbl.t;
@@ -214,14 +242,8 @@ type machine = {
   profile_on : bool;
   profile_counts : (string, int ref) Hashtbl.t;
   mutable cur_fn : string;
-  (* memory backend: the cold management surface (intrinsics, heap
-     tracking, leak reporting) behind one closure record *)
-  bk : Mem_backend.ops;
-  (* Some iff Split mode runs under the paged backend; the hot access
-     hooks key off this directly *)
-  paged : Paged.t option;
-  (* coherence sanitizer (Split + explicit backend + config.sanitize);
-     the same instance the device and run-time hooks drive *)
+  (* coherence sanitizer (Explicit strategy + config.sanitize); the same
+     instance the device and run-time hooks drive *)
   san : Sanitizer.t option;
   (* per-kernel static read/write sets for the sanitizer's launch hook *)
   rw_cache : (string, Modref.rw) Hashtbl.t;
@@ -246,6 +268,10 @@ let flush_time mc =
     mc.pending_insts <- 0
   end
 
+(* Whether kernel instructions count as device work: under [Unified]
+   there is no device. *)
+let kernels_on_device mc = match mc.strat with Unified -> false | _ -> true
+
 let tick mc =
   mc.fuel <- mc.fuel - 1;
   if mc.fuel <= 0 then error "instruction budget exhausted (infinite loop?)";
@@ -257,7 +283,7 @@ let tick mc =
   (* In unified mode there is no device: kernel work is CPU work (this is
      what makes it the sequential baseline for explicitly-written
      kernels). *)
-  if mc.in_kernel && mc.mode <> Unified then
+  if mc.in_kernel && kernels_on_device mc then
     mc.kernel_insts <- mc.kernel_insts + 1
   else begin
     mc.cpu_insts <- mc.cpu_insts + 1;
@@ -275,23 +301,55 @@ let seg_tick mc n =
     | Some r -> r := !r + n
     | None -> Hashtbl.replace mc.profile_counts mc.cur_fn (ref n)
   end;
-  if mc.in_kernel && mc.mode <> Unified then
+  if mc.in_kernel && kernels_on_device mc then
     mc.kernel_insts <- mc.kernel_insts + n
   else begin
     mc.cpu_insts <- mc.cpu_insts + n;
     mc.pending_insts <- mc.pending_insts + n
   end
 
-(* Memory space for the executing context. Under the paged backend there
-   is one shared address space: kernels read and write host memory, and
-   the cost of getting the bytes across shows up as page faults. *)
+(* Run [f] on the explicit run-time with the interpreter's clock threaded
+   through it; the other strategies have no run-time work and return
+   [default]. The paged strategy still folds pending CPU time at these
+   points, as the explicit one does, so both device strategies advance
+   the clock in the same steps. *)
+let with_runtime mc ~default f =
+  match mc.strat with
+  | Explicit rt ->
+    flush_time mc;
+    rt.Runtime.now <- mc.now;
+    let r = f rt in
+    mc.now <- rt.Runtime.now;
+    r
+  | Paged _ ->
+    flush_time mc;
+    default
+  | Unified | Inspector -> default
+
+(* The host allocator's wrapper: the new unit enters the allocation map. *)
+let register_heap mc ~base ~size =
+  match mc.strat with
+  | Explicit rt -> Runtime.register_heap rt ~base ~size
+  | Unified | Inspector | Paged _ -> ()
+
+(* Frame exit: expire the frame's declareAlloca registrations. *)
+let expire_allocas mc bases =
+  match mc.strat with
+  | Explicit rt -> List.iter (fun base -> Runtime.expire_alloca rt ~base) bases
+  | Unified | Inspector | Paged _ -> ()
+
+(* Memory space for the executing context. Only the explicit strategy
+   has a separate device memory; under paging kernels read and write
+   host memory, and the cost of getting the bytes across shows up as
+   page faults. *)
 let space mc =
-  if mc.in_kernel && mc.mode = Split && mc.paged == None then
-    mc.dev.Device.mem
-  else mc.host
+  match mc.strat with
+  | Explicit _ when mc.in_kernel -> mc.dev.Device.mem
+  | _ -> mc.host
 
 let global_addr mc g =
-  if mc.in_kernel && mc.mode = Split && mc.paged == None then begin
+  match mc.strat with
+  | Explicit rt when mc.in_kernel -> begin
     match mc.shard_log with
     | Some _ -> (
       (* Parallel shard: the pre-launch check guarantees every global the
@@ -307,12 +365,12 @@ let global_addr mc g =
       (* Resolve through the run-time so a first touch (or a re-touch
          after an eviction) gets the same OOM recovery as map, and an
          evicted global is refilled from its written-back host copy. *)
-      mc.rt.Runtime.now <- mc.now;
-      let addr = Runtime.device_global_addr mc.rt g in
-      mc.now <- mc.rt.Runtime.now;
+      rt.Runtime.now <- mc.now;
+      let addr = Runtime.device_global_addr rt g in
+      mc.now <- rt.Runtime.now;
       addr
   end
-  else begin
+  | _ -> begin
     match Hashtbl.find_opt mc.globals_host g with
     | Some a -> a
     | None -> error "unknown global %s" g
@@ -355,19 +413,19 @@ let load_globals mc =
       Runtime.declare_global mc.rt ~name:g.gname ~base ~size:g.gsize
         ~read_only:g.gread_only)
     mc.m.Ir.globals;
-  (* Paged backend: globals carry load-time initial values, so their
+  (* Paged strategy: globals carry load-time initial values, so their
      backing pages start host-resident (free, like the host arrays
      cudaMallocManaged zero-fills). *)
-  match mc.paged with
-  | Some pg ->
+  match mc.strat with
+  | Paged pg ->
     List.iter
       (fun (g : Ir.global) ->
         let base = Hashtbl.find mc.globals_host g.gname in
         Paged.place_host pg ~addr:base ~len:g.gsize)
       mc.m.Ir.globals
-  | None -> ()
+  | Unified | Inspector | Explicit _ -> ()
 
-(* Paged backend: note an access to [addr, addr+len) and charge any
+(* Paged strategy: note an access to [addr, addr+len) and charge any
    host-side migration synchronously. Kernel-side fault time pools
    inside [pg] until the launch ends (Paged.flush_launch). *)
 let paged_touch mc pg ~addr ~len =
@@ -383,6 +441,67 @@ let paged_touch mc pg ~addr ~len =
         ~pages:(Paged.last_host_fault_pages pg);
       mc.now <- mc.now +. cyc
     end
+  end
+
+(* A non-load/store access (driver copies, string builtins): only the
+   paged strategy observes it. *)
+let touch mc ~addr ~len =
+  match mc.strat with
+  | Paged pg -> paged_touch mc pg ~addr ~len
+  | Unified | Inspector | Explicit _ -> ()
+
+(* The per-access hook of the run's strategy, picked once per decoded
+   load/store site (and once per call in the tree walker). *)
+type hook =
+  | No_hook  (* Unified; Explicit without the sanitizer *)
+  | Track  (* Inspector: record the units the current kernel touches *)
+  | Check of Sanitizer.t  (* Explicit under the coherence sanitizer *)
+  | Touch of Paged.t  (* Paged: page-granular migration *)
+
+let access_hook mc =
+  match (mc.strat, mc.san) with
+  | Inspector, _ -> Track
+  | Paged pg, _ -> Touch pg
+  | Explicit _, Some s -> Check s
+  | Explicit _, None | Unified, _ -> No_hook
+
+(* Run [hook] for an access of [len] bytes at [addr], before any byte
+   moves: where the tree engine checks and the hardware would fault (the
+   read of a stale byte is the sanitizer's violation). [h] is the site's
+   cached handle (null in the tree walker); when it covers the access,
+   tracking reuses its base instead of an index lookup. Inspector
+   tracking records base -> written for units allocated before the
+   launch; later units are kernel stack slots, not program data. *)
+let[@inline] run_hook mc hook ~write sp h addr len =
+  match hook with
+  | No_hook -> ()
+  | Track -> (
+    match mc.track_units with
+    | None -> ()
+    | Some tbl ->
+      let base =
+        if Memspace.handle_valid h sp addr len then Memspace.handle_base h
+        else fst (Memspace.unit_bounds sp addr)
+      in
+      if base < mc.track_threshold then
+        if write then Hashtbl.replace tbl base true
+        else if not (Hashtbl.mem tbl base) then Hashtbl.replace tbl base false)
+  | Check s ->
+    if write then
+      Sanitizer.on_store s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel
+    else Sanitizer.on_load s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel
+  | Touch pg -> paged_touch mc pg ~addr ~len
+
+(* A load/store site's block handle: revalidate the cached one, or
+   resolve and span-check afresh (faulting as the checked accessors do)
+   and cache the result. *)
+let[@inline] acquire cache (c : ctx) addr len what =
+  let h = !cache in
+  if Memspace.handle_valid h c.sp addr len then h
+  else begin
+    let h = Memspace.acquire_handle c.sp addr len what in
+    cache := h;
+    h
   end
 
 (* ------------------------------------------------------------------ *)
@@ -735,26 +854,6 @@ let par_kernel_info mc (f : Ir.func) : string list option =
     Hashtbl.replace mc.par_cache f.Ir.fname r;
     r
 
-(* Inspector-executor access tracking, shared by both engines. *)
-let track_load mc sp tbl addr =
-  let base, _ = Memspace.unit_bounds sp addr in
-  if base < mc.track_threshold && not (Hashtbl.mem tbl base) then
-    Hashtbl.replace tbl base false
-
-let track_store mc sp tbl addr =
-  let base, _ = Memspace.unit_bounds sp addr in
-  if base < mc.track_threshold then Hashtbl.replace tbl base true
-
-(* Handle-based variants (closure engine): the access already resolved
-   its unit, so tracking reuses the handle's base instead of a second
-   index lookup. *)
-let track_load_h mc tbl base =
-  if base < mc.track_threshold && not (Hashtbl.mem tbl base) then
-    Hashtbl.replace tbl base false
-
-let track_store_h mc tbl base =
-  if base < mc.track_threshold then Hashtbl.replace tbl base true
-
 (* ------------------------------------------------------------------ *)
 (* Execution: the two engines plus the shared call/launch machinery     *)
 
@@ -769,6 +868,7 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
   let frame_allocas = ref [] in
   let registered = ref [] in
   let sp = space mc in
+  let hook = access_hook mc in
   let eval = function
     | Ir.Reg r -> frame.(r)
     | Ir.Imm_int i -> VI i
@@ -778,10 +878,7 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
   let finish () =
     (* Stack frame unwinding: expire declareAlloca registrations, free the
        frame's allocation units. *)
-    List.iter
-      (fun base ->
-        if mc.mode = Split then mc.bk.Mem_backend.bk_expire_alloca ~base)
-      !registered;
+    expire_allocas mc !registered;
     List.iter (fun base -> Memspace.free_local sp base) !frame_allocas
   in
   let rec run_block b =
@@ -804,19 +901,8 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
     | Ir.Unop (d, op, a) -> frame.(d) <- eval_unop op (eval a)
     | Ir.Load (d, ty, a) -> begin
       let addr = Int64.to_int (as_int (eval a)) in
-      (match mc.track_units with
-      | Some tbl -> track_load mc sp tbl addr
-      | None -> ());
-      (match mc.san with
-      | Some s ->
-        Sanitizer.on_load s ~addr
-          ~len:(match ty with Ir.I8 -> 1 | _ -> 8)
-          ~fn:mc.cur_fn ~kernel:mc.in_kernel
-      | None -> ());
-      (match mc.paged with
-      | Some pg ->
-        paged_touch mc pg ~addr ~len:(match ty with Ir.I8 -> 1 | _ -> 8)
-      | None -> ());
+      run_hook mc hook ~write:false sp Memspace.null_handle addr
+        (match ty with Ir.I8 -> 1 | _ -> 8);
       frame.(d) <-
         (match ty with
         | Ir.I8 -> VI (Int64.of_int (Memspace.load_u8 sp addr))
@@ -825,19 +911,8 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
     end
     | Ir.Store (ty, a, v) -> begin
       let addr = Int64.to_int (as_int (eval a)) in
-      (match mc.track_units with
-      | Some tbl -> track_store mc sp tbl addr
-      | None -> ());
-      (match mc.san with
-      | Some s ->
-        Sanitizer.on_store s ~addr
-          ~len:(match ty with Ir.I8 -> 1 | _ -> 8)
-          ~fn:mc.cur_fn ~kernel:mc.in_kernel
-      | None -> ());
-      (match mc.paged with
-      | Some pg ->
-        paged_touch mc pg ~addr ~len:(match ty with Ir.I8 -> 1 | _ -> 8)
-      | None -> ());
+      run_hook mc hook ~write:true sp Memspace.null_handle addr
+        (match ty with Ir.I8 -> 1 | _ -> 8);
       match ty with
       | Ir.I8 -> Memspace.store_u8 sp addr (Int64.to_int (as_int (eval v)) land 0xff)
       | Ir.I64 -> Memspace.store_i64 sp addr (as_int (eval v))
@@ -848,9 +923,9 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
       let base = Memspace.alloc ~tag:info.Ir.aname sp size in
       frame_allocas := base :: !frame_allocas;
       frame.(d) <- VI (Int64.of_int base);
-      if info.Ir.aregistered && (not mc.in_kernel) && mc.mode = Split then begin
-        flush_time mc;
-        mc.now <- mc.bk.Mem_backend.bk_declare_alloca ~now:mc.now ~base ~size;
+      if info.Ir.aregistered && not mc.in_kernel then begin
+        with_runtime mc ~default:() (fun rt ->
+            Runtime.declare_alloca rt ~base ~size);
         registered := base :: !registered
       end
     end
@@ -885,7 +960,7 @@ and dispatch_call mc name argv : rtval option =
     let base = Memspace.alloc ~tag:"heap" mc.host size in
     flush_time mc;
     mc.now <- mc.now +. 100.0;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_register_heap ~base ~size;
+    register_heap mc ~base ~size;
     Some (VI (Int64.of_int base))
   | "realloc", [ p; size ] ->
     (* the run-time wrapper: the old unit leaves the allocation map, the
@@ -900,87 +975,64 @@ and dispatch_call mc name argv : rtval option =
       let _, old_size = Memspace.unit_bounds mc.host old_base in
       Memspace.blit ~src:mc.host ~src_addr:old_base ~dst:mc.host
         ~dst_addr:base ~len:(min old_size size);
-      if mc.mode = Split then
-        mc.now <- mc.bk.Mem_backend.bk_unregister_heap ~now:mc.now ~base:old_base;
+      with_runtime mc ~default:() (fun rt ->
+          Runtime.unregister_heap rt ~base:old_base);
       Memspace.free mc.host old_base
     end;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_register_heap ~base ~size;
+    register_heap mc ~base ~size;
     Some (VI (Int64.of_int base))
   | "free", [ p ] ->
     let base = Int64.to_int (as_int p) in
-    if mc.mode = Split then begin
-      flush_time mc;
-      mc.now <- mc.bk.Mem_backend.bk_unregister_heap ~now:mc.now ~base
-    end;
+    with_runtime mc ~default:() (fun rt -> Runtime.unregister_heap rt ~base);
     Memspace.free mc.host base;
     None
   (* ---- explicit driver API (manual management, Listing 1 style) ----
-     Under the paged backend (like Unified mode) there is no separate
-     device memory: gpu_malloc hands out host storage, the copies are
-     host-side blits, and the data pays page faults when kernels touch
+     Only the explicit strategy has a separate device memory. Elsewhere
+     gpu_malloc hands out host storage and the copies are host-side
+     blits; under paging the data pays page faults when kernels touch
      it — manual staging buys nothing, which is the point of managed
      memory. *)
-  | "gpu_malloc", [ size ] ->
+  | "gpu_malloc", [ size ] -> (
     let size = Int64.to_int (as_int size) in
     if mc.in_kernel then error "gpu_malloc on the device";
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then begin
+    match mc.strat with
+    | Explicit _ ->
       let d, now = Device.mem_alloc mc.dev ~now:mc.now size in
       mc.now <- now;
       Some (VI (Int64.of_int d))
-    end
-    else
-      (* unified memory: device allocations are just host allocations *)
-      Some (VI (Int64.of_int (Memspace.alloc ~tag:"gpu" mc.host size)))
+    | Unified | Inspector | Paged _ ->
+      Some (VI (Int64.of_int (Memspace.alloc ~tag:"gpu" mc.host size))))
   | "gpu_free", [ p ] ->
     let d = Int64.to_int (as_int p) in
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then
-      mc.now <- Device.mem_free mc.dev ~now:mc.now d
-    else Memspace.free mc.host d;
+    (match mc.strat with
+    | Explicit _ -> mc.now <- Device.mem_free mc.dev ~now:mc.now d
+    | Unified | Inspector | Paged _ -> Memspace.free mc.host d);
     None
-  | "gpu_memcpy_h2d", [ dst; src; len ] ->
+  | ("gpu_memcpy_h2d" | "gpu_memcpy_d2h"), [ dst; src; len ] ->
     let dst = Int64.to_int (as_int dst)
     and src = Int64.to_int (as_int src)
     and len = Int64.to_int (as_int len) in
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then
+    (match mc.strat with
+    | Explicit _ ->
       mc.now <-
-        Device.memcpy_h_to_d mc.dev ~now:mc.now ~host:mc.host ~host_addr:src
-          ~dev_addr:dst ~len
-    else begin
-      (match mc.paged with
-      | Some pg ->
-        paged_touch mc pg ~addr:src ~len;
-        paged_touch mc pg ~addr:dst ~len
-      | None -> ());
-      Memspace.blit ~src:mc.host ~src_addr:src ~dst:mc.host ~dst_addr:dst ~len
-    end;
-    None
-  | "gpu_memcpy_d2h", [ dst; src; len ] ->
-    let dst = Int64.to_int (as_int dst)
-    and src = Int64.to_int (as_int src)
-    and len = Int64.to_int (as_int len) in
-    flush_time mc;
-    if mc.mode = Split && mc.paged == None then
-      mc.now <-
-        Device.memcpy_d_to_h mc.dev ~now:mc.now ~host:mc.host ~host_addr:dst
-          ~dev_addr:src ~len
-    else begin
-      (match mc.paged with
-      | Some pg ->
-        paged_touch mc pg ~addr:src ~len;
-        paged_touch mc pg ~addr:dst ~len
-      | None -> ());
-      Memspace.blit ~src:mc.host ~src_addr:src ~dst:mc.host ~dst_addr:dst ~len
-    end;
+        (if name = "gpu_memcpy_h2d" then
+           Device.memcpy_h_to_d mc.dev ~now:mc.now ~host:mc.host
+             ~host_addr:src ~dev_addr:dst ~len
+         else
+           Device.memcpy_d_to_h mc.dev ~now:mc.now ~host:mc.host
+             ~host_addr:dst ~dev_addr:src ~len)
+    | Unified | Inspector | Paged _ ->
+      touch mc ~addr:src ~len;
+      touch mc ~addr:dst ~len;
+      Memspace.blit ~src:mc.host ~src_addr:src ~dst:mc.host ~dst_addr:dst ~len);
     None
   | "strlen", [ p ] ->
     let addr = Int64.to_int (as_int p) in
     let s = Memspace.load_string (space mc) addr in
-    (match mc.paged with
-    | Some pg -> paged_touch mc pg ~addr ~len:(String.length s + 1)
-    | None -> ());
+    touch mc ~addr ~len:(String.length s + 1);
     (* charge proportional work *)
     for _ = 1 to String.length s do tick mc done;
     Some (VI (Int64.of_int (String.length s)))
@@ -995,9 +1047,7 @@ and dispatch_call mc name argv : rtval option =
   | "prints", [ p ] ->
     let addr = Int64.to_int (as_int p) in
     let s = Memspace.load_string (space mc) addr in
-    (match mc.paged with
-    | Some pg -> paged_touch mc pg ~addr ~len:(String.length s + 1)
-    | None -> ());
+    touch mc ~addr ~len:(String.length s + 1);
     Buffer.add_string mc.out s;
     Buffer.add_char mc.out '\n';
     None
@@ -1016,47 +1066,39 @@ and dispatch_call mc name argv : rtval option =
     | None -> error "call to unknown function '%s'" name)
 
 and dispatch_cgcm mc name argv : rtval option =
-  let ptr_of v = Int64.to_int (as_int v) in
-  match (mc.mode, name, argv) with
-  (* Unified mode: the runtime is an identity — used to differentially
-     test that the compiler transformations preserve semantics. The
-     inspector-executor baseline runs unmanaged modules, but treat stray
-     cgcm calls the same way. *)
-  | (Unified | Inspector_executor), ("cgcm.map" | "cgcm.map_array"), [ p ] ->
+  match (mc.strat, argv) with
+  (* The oracle strategies treat the run-time as an identity — used to
+     differentially test that the compiler transformations preserve
+     semantics. The inspector-executor baseline runs unmanaged modules,
+     but treats stray cgcm calls the same way. *)
+  | (Unified | Inspector), [ p ]
+    when name = Ir.Intrinsic.map || name = Ir.Intrinsic.map_array ->
     Some p
-  | (Unified | Inspector_executor), _, _ -> None
-  (* Split mode routes through the selected memory backend: the explicit
-     instance is the CGCM run-time (copies, refcounts, epochs); the
-     paged instance is an identity/no-op surface — the hardware manages
-     communication, so the same compiled module runs under both and the
-     A/B isolates the management cost. *)
-  | Split, "cgcm.map", [ p ] ->
-    flush_time mc;
-    let d, now = mc.bk.Mem_backend.bk_map ~now:mc.now (ptr_of p) in
-    mc.now <- now;
-    Some (VI (Int64.of_int d))
-  | Split, "cgcm.unmap", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_unmap ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.release", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_release ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.map_array", [ p ] ->
-    flush_time mc;
-    let d, now = mc.bk.Mem_backend.bk_map_array ~now:mc.now (ptr_of p) in
-    mc.now <- now;
-    Some (VI (Int64.of_int d))
-  | Split, "cgcm.unmap_array", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_unmap_array ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.release_array", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_release_array ~now:mc.now (ptr_of p);
-    None
-  | Split, _, _ -> error "unknown cgcm intrinsic '%s'" name
+  | (Unified | Inspector), _ -> None
+  (* The device strategies: explicit runs the CGCM run-time (copies,
+     refcounts, epochs); under paging the hardware manages communication,
+     so map is the identity and the rest does nothing. The same compiled
+     module runs under both and the A/B isolates the management cost. *)
+  | (Explicit _ | Paged _), [ p ] -> (
+    let ptr () = Int64.to_int (as_int p) in
+    let mapped f =
+      let p = ptr () in
+      Some (VI (Int64.of_int (with_runtime mc ~default:p (fun rt -> f rt p))))
+    in
+    let call f =
+      let p = ptr () in
+      with_runtime mc ~default:() (fun rt -> f rt p);
+      None
+    in
+    match name with
+    | "cgcm.map" -> mapped Runtime.map
+    | "cgcm.map_array" -> mapped Runtime.map_array
+    | "cgcm.unmap" -> call Runtime.unmap
+    | "cgcm.release" -> call Runtime.release
+    | "cgcm.unmap_array" -> call Runtime.unmap_array
+    | "cgcm.release_array" -> call Runtime.release_array
+    | _ -> error "unknown cgcm intrinsic '%s'" name)
+  | (Explicit _ | Paged _), _ -> error "unknown cgcm intrinsic '%s'" name
 
 and exec_launch mc ~kernel ~trip ~args =
   let f =
@@ -1066,7 +1108,9 @@ and exec_launch mc ~kernel ~trip ~args =
   in
   if trip > 0 then begin
     flush_time mc;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_bump_epoch ();
+    (match mc.strat with
+    | Explicit rt -> Runtime.bump_epoch rt
+    | Unified | Inspector | Paged _ -> ());
     (match mc.san with
     | Some s ->
       let rw =
@@ -1083,14 +1127,14 @@ and exec_launch mc ~kernel ~trip ~args =
     let saved_in_kernel = mc.in_kernel in
     let insts_before = mc.kernel_insts in
     let tracking =
-      if mc.mode = Inspector_executor then begin
+      match mc.strat with
+      | Inspector ->
         let tbl = Hashtbl.create 16 in
         mc.track_units <- Some tbl;
         Memspace.pool_flush mc.host;
         mc.track_threshold <- mc.host.Memspace.next;
         Some tbl
-      end
-      else None
+      | Unified | Explicit _ | Paged _ -> None
     in
     mc.in_kernel <- true;
     (* Resolve the kernel body once, not once per thread. *)
@@ -1108,8 +1152,8 @@ and exec_launch mc ~kernel ~trip ~args =
        launch that fails any test takes the sequential path — which is
        why jobs = 1 is exactly the closure engine. *)
     let par =
-      mc.engine = Parallel && mc.jobs > 1 && mc.mode = Split
-      && mc.paged == None
+      mc.engine = Parallel && mc.jobs > 1
+      && (match mc.strat with Explicit _ -> true | _ -> false)
       && (not saved_in_kernel)
       && Option.is_none mc.shard_log
       && trip >= mc.cost.Cost_model.par_min_trip
@@ -1137,30 +1181,29 @@ and exec_launch mc ~kernel ~trip ~args =
        synchronous CPU work: the instructions move from the kernel to the
        CPU account, the clock advances at CPU speed, and the device
        timeline, launch stats and trace stay untouched. *)
-    let cpu_fallback () =
-      Runtime.note_cpu_fallback mc.rt;
-      mc.kernel_insts <- mc.kernel_insts - insts;
-      mc.cpu_insts <- mc.cpu_insts + insts;
-      let start = mc.now in
-      mc.now <-
-        mc.now +. (float_of_int insts *. mc.cost.Cost_model.cpu_cycle);
-      Trace.record mc.dev.Device.trace Trace.Kernel ~start ~finish:mc.now
-        ~label:(kernel ^ "+cpu-fallback") ~bytes:0
-    in
-    match mc.mode with
-    | Split ->
-      (match Device.launch mc.dev ~now:mc.now ~name:kernel ~insts ~trip with
+    let launch () =
+      match Device.launch mc.dev ~now:mc.now ~name:kernel ~insts ~trip with
       | now -> mc.now <- now
       | exception Errors.Device_error (Errors.Launch_failed _) ->
-        cpu_fallback ());
-      (* Paged backend: the kernel's demand faults extend the device's
-         busy window once the driver work is accounted — even on CPU
-         fallback the pages migrated and the cost was paid. *)
-      (match mc.paged with
-      | Some pg -> Paged.flush_launch pg
-      | None -> ())
+        Runtime.note_cpu_fallback mc.rt;
+        mc.kernel_insts <- mc.kernel_insts - insts;
+        mc.cpu_insts <- mc.cpu_insts + insts;
+        let start = mc.now in
+        mc.now <-
+          mc.now +. (float_of_int insts *. mc.cost.Cost_model.cpu_cycle);
+        Trace.record mc.dev.Device.trace Trace.Kernel ~start ~finish:mc.now
+          ~label:(kernel ^ "+cpu-fallback") ~bytes:0
+    in
+    match mc.strat with
+    | Explicit _ -> launch ()
+    | Paged pg ->
+      launch ();
+      (* the kernel's demand faults extend the device's busy window once
+         the driver work is accounted — even on CPU fallback the pages
+         migrated and the cost was paid *)
+      Paged.flush_launch pg
     | Unified -> ()
-    | Inspector_executor ->
+    | Inspector ->
       (* 1. sequential inspection on the CPU: replay the loop's address
             slice (a fraction of the kernel's dynamic instructions) *)
       let inspect =
@@ -1198,10 +1241,7 @@ and exec_launch mc ~kernel ~trip ~args =
         st.Device.dtoh_count <- st.Device.dtoh_count + 1
       end;
       (* 3. the kernel itself, fully synchronous (cyclic schedule) *)
-      (match Device.launch mc.dev ~now:mc.now ~name:kernel ~insts ~trip with
-      | now -> mc.now <- now
-      | exception Errors.Device_error (Errors.Launch_failed _) ->
-        cpu_fallback ());
+      launch ();
       mc.now <- Device.sync mc.dev ~now:mc.now
   end
 
@@ -1408,8 +1448,9 @@ and decode_block mc ~uses ~fold_ok ~promo (b : Ir.block) : cblock =
    of one integer compare per access. *)
 and gaddr mc g : ctx -> int =
   let haddr = ref (-1) and daddr = ref (-1) and dgen = ref (-1) in
+  let explicit = match mc.strat with Explicit _ -> true | _ -> false in
   fun _ ->
-    if mc.in_kernel && mc.mode = Split && mc.paged == None then begin
+    if mc.in_kernel && explicit then begin
       let a = !daddr in
       if a >= 0 && !dgen = mc.dev.Device.globals_gen then a
       else begin
@@ -1683,11 +1724,9 @@ and decode_instr mc avail promo (i : Ir.instr) : cinstr =
       let base = Memspace.alloc ~tag:info.Ir.aname c.sp size in
       c.allocas <- base :: c.allocas;
       c.fr.(d) <- VI (Int64.of_int base);
-      if info.Ir.aregistered && (not mc.in_kernel) && mc.mode = Split then begin
-        flush_time mc;
-        mc.rt.Runtime.now <- mc.now;
-        Runtime.declare_alloca mc.rt ~base ~size;
-        mc.now <- mc.rt.Runtime.now;
+      if info.Ir.aregistered && not mc.in_kernel then begin
+        with_runtime mc ~default:() (fun rt ->
+            Runtime.declare_alloca rt ~base ~size);
         c.registered <- base :: c.registered
       end
   | Ir.Call (d, name, args) ->
@@ -1889,60 +1928,29 @@ and decode_binop mc avail d op a b : cinstr =
       c.fr.(d) <- f va vb
   end
 
+(* Loads and stores: with no access hook, an unfolded register address
+   gets a fast path with no indirect call. Everything else takes one
+   generic path per type: address, hook, (store value,) then the access,
+   which is the tree engine's fault order. *)
 and decode_load mc avail d ty a : cinstr =
-  (* Access tracking only exists in inspector-executor mode, the
-     sanitizer only in Split mode, and the paged touch hook only under
-     the paged backend — all known at decode time; every other
-     configuration skips the checks entirely. *)
-  let track = mc.mode = Inspector_executor in
-  let sanit = mc.san <> None in
-  let pgd = mc.paged in
   let cache = ref Memspace.null_handle in
+  let hook = access_hook mc in
+  let fast r =
+    (match hook with No_hook -> true | _ -> false) && not (Hashtbl.mem avail r)
+  in
   match (ty, a) with
-  | Ir.I64, Ir.Reg r
-    when (not track) && (not sanit) && pgd == None
-         && not (Hashtbl.mem avail r) ->
+  | Ir.I64, Ir.Reg r when fast r ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "load" in
-          cache := h;
-          h
-        end
-      in
-      c.fr.(d) <- VI (Memspace.h_load_i64 h addr)
-  | Ir.F64, Ir.Reg r
-    when (not track) && (not sanit) && pgd == None
-         && not (Hashtbl.mem avail r) ->
+      c.fr.(d) <- VI (Memspace.h_load_i64 (acquire cache c addr 8 "load") addr)
+  | Ir.F64, Ir.Reg r when fast r ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "load" in
-          cache := h;
-          h
-        end
-      in
-      c.fr.(d) <- VF (Memspace.h_load_f64 h addr)
-  | Ir.I8, Ir.Reg r
-    when (not track) && (not sanit) && pgd == None
-         && not (Hashtbl.mem avail r) ->
+      c.fr.(d) <- VF (Memspace.h_load_f64 (acquire cache c addr 8 "load") addr)
+  | Ir.I8, Ir.Reg r when fast r ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 1 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 1 "load" in
-          cache := h;
-          h
-        end
-      in
+      let h = acquire cache c addr 1 "load" in
       c.fr.(d) <- VI (Int64.of_int (Memspace.h_load_u8 h addr))
   | _ ->
     let fa = fold_addr mc avail a in
@@ -1954,346 +1962,80 @@ and decode_load mc avail d ty a : cinstr =
       | Ir.I64 -> fun c h addr -> c.fr.(d) <- VI (Memspace.h_load_i64 h addr)
       | Ir.F64 -> fun c h addr -> c.fr.(d) <- VF (Memspace.h_load_f64 h addr)
     in
-    if track then
-      (* Tracked (inspector-executor) path: the handle resolution already
-         found the unit, so tracking reuses its base. *)
-      fun c ->
-        let addr = fa c in
-        let h = !cache in
-        let h =
-          if Memspace.handle_valid h c.sp addr len then h
-          else begin
-            let h = Memspace.acquire_handle c.sp addr len "load" in
-            cache := h;
-            h
-          end
-        in
-        (match mc.track_units with
-        | Some tbl -> track_load_h mc tbl (Memspace.handle_base h)
-        | None -> ());
-        finish c h addr
-    else
-      match mc.san with
-      | Some s ->
-        (* Sanitized path: the coherence check runs before the access
-           (the read of a stale byte IS the violation), in the same
-           position the tree engine checks. *)
-        fun c ->
-          let addr = fa c in
-          Sanitizer.on_load s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-          let h = !cache in
-          let h =
-            if Memspace.handle_valid h c.sp addr len then h
-            else begin
-              let h = Memspace.acquire_handle c.sp addr len "load" in
-              cache := h;
-              h
-            end
-          in
-          finish c h addr
-      | None -> (
-        match pgd with
-        | Some pg ->
-          (* Paged path: the touch (and any host-side migration stall)
-             happens before the access, where the hardware would fault. *)
-          fun c ->
-            let addr = fa c in
-            paged_touch mc pg ~addr ~len;
-            let h = !cache in
-            let h =
-              if Memspace.handle_valid h c.sp addr len then h
-              else begin
-                let h = Memspace.acquire_handle c.sp addr len "load" in
-                cache := h;
-                h
-              end
-            in
-            finish c h addr
-        | None ->
-          fun c ->
-            let addr = fa c in
-            let h = !cache in
-            let h =
-              if Memspace.handle_valid h c.sp addr len then h
-              else begin
-                let h = Memspace.acquire_handle c.sp addr len "load" in
-                cache := h;
-                h
-              end
-            in
-            finish c h addr)
+    fun c ->
+      let addr = fa c in
+      run_hook mc hook ~write:false c.sp !cache addr len;
+      finish c (acquire cache c addr len "load") addr
 
+(* Shard machines (parallel engine) store through their private dirty
+   log: the Bytes write happens immediately, and the order-sensitive
+   dirty-span bookkeeping is replayed at the join. *)
 and decode_store mc avail ty a v : cinstr =
-  match mc.shard_log with
-  | Some l -> decode_store_log mc l avail ty a v
-  | None -> decode_store_seq mc avail ty a v
-
-(* Shard-machine stores (parallel engine): identical to the sequential
-   paths below except that the order-sensitive dirty-span bookkeeping is
-   appended to the shard's private log (the Bytes write itself happens
-   immediately) for replay at the join. Shards only exist in Split mode,
-   so there is no inspector-executor tracking here. *)
-and decode_store_log mc l avail ty a v : cinstr =
   let cache = ref Memspace.null_handle in
-  let acquire c addr len =
-    let h = !cache in
-    if Memspace.handle_valid h c.sp addr len then h
-    else begin
-      let h = Memspace.acquire_handle c.sp addr len "store" in
-      cache := h;
-      h
-    end
+  let hook = access_hook mc in
+  let fast r =
+    (match hook with No_hook -> true | _ -> false) && not (Hashtbl.mem avail r)
   in
-  match (ty, a, v) with
-  | Ir.F64, Ir.Reg ra, Ir.Reg rv
-    when mc.san = None
-         && (not (Hashtbl.mem avail ra))
-         && not (Hashtbl.mem avail rv) ->
+  match (mc.shard_log, ty, a, v) with
+  | None, Ir.F64, Ir.Reg ra, Ir.Reg rv when fast ra && fast rv ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_float (Array.unsafe_get c.fr rv) in
-      Memspace.h_store_f64_log l (acquire c addr 8) addr x
-  | Ir.I64, Ir.Reg ra, Ir.Reg rv
-    when mc.san = None
-         && (not (Hashtbl.mem avail ra))
-         && not (Hashtbl.mem avail rv) ->
+      Memspace.h_store_f64 (acquire cache c addr 8 "store") addr x
+  | None, Ir.I64, Ir.Reg ra, Ir.Reg rv when fast ra && fast rv ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_int (Array.unsafe_get c.fr rv) in
-      Memspace.h_store_i64_log l (acquire c addr 8) addr x
-  | Ir.I64, Ir.Reg ra, Ir.Imm_int iv
-    when mc.san = None && not (Hashtbl.mem avail ra) ->
+      Memspace.h_store_i64 (acquire cache c addr 8 "store") addr x
+  | None, Ir.I64, Ir.Reg ra, Ir.Imm_int iv when fast ra ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
-      Memspace.h_store_i64_log l (acquire c addr 8) addr iv
-  | _ -> (
-    let fa = fold_addr mc avail a in
-    (* sequential-engine order preserved: address, (sanitizer), value
-       unboxing, then the store *)
-    match ty with
-    | Ir.I8 ->
-      let fv = fold_i mc avail v in
-      (match mc.san with
-      | Some s ->
-        fun c ->
-          let addr = fa c in
-          Sanitizer.on_store s ~addr ~len:1 ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-          let h = acquire c addr 1 in
-          Memspace.h_store_u8_log l h addr
-            (Int64.to_int (fv c) land 0xff)
-      | None ->
-        fun c ->
-          let addr = fa c in
-          let x = Int64.to_int (fv c) land 0xff in
-          Memspace.h_store_u8_log l (acquire c addr 1) addr x)
-    | Ir.I64 ->
-      let fv = fold_i mc avail v in
-      (match mc.san with
-      | Some s ->
-        fun c ->
-          let addr = fa c in
-          Sanitizer.on_store s ~addr ~len:8 ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-          let h = acquire c addr 8 in
-          Memspace.h_store_i64_log l h addr (fv c)
-      | None ->
-        fun c ->
-          let addr = fa c in
-          let x = fv c in
-          Memspace.h_store_i64_log l (acquire c addr 8) addr x)
-    | Ir.F64 ->
-      let fv = fold_f mc avail v in
-      (match mc.san with
-      | Some s ->
-        fun c ->
-          let addr = fa c in
-          Sanitizer.on_store s ~addr ~len:8 ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-          let h = acquire c addr 8 in
-          Memspace.h_store_f64_log l h addr (fv c)
-      | None ->
-        fun c ->
-          let addr = fa c in
-          let x = fv c in
-          Memspace.h_store_f64_log l (acquire c addr 8) addr x))
-
-and decode_store_seq mc avail ty a v : cinstr =
-  let track = mc.mode = Inspector_executor in
-  let sanit = mc.san <> None in
-  let pgd = mc.paged in
-  let cache = ref Memspace.null_handle in
-  match (ty, a, v) with
-  | Ir.F64, Ir.Reg ra, Ir.Reg rv
-    when (not track) && (not sanit) && pgd == None
-         && (not (Hashtbl.mem avail ra))
-         && not (Hashtbl.mem avail rv) ->
+      Memspace.h_store_i64 (acquire cache c addr 8 "store") addr iv
+  | Some l, Ir.F64, Ir.Reg ra, Ir.Reg rv when fast ra && fast rv ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_float (Array.unsafe_get c.fr rv) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
-      Memspace.h_store_f64 h addr x
-  | Ir.I64, Ir.Reg ra, Ir.Reg rv
-    when (not track) && (not sanit) && pgd == None
-         && (not (Hashtbl.mem avail ra))
-         && not (Hashtbl.mem avail rv) ->
+      Memspace.h_store_f64_log l (acquire cache c addr 8 "store") addr x
+  | Some l, Ir.I64, Ir.Reg ra, Ir.Reg rv when fast ra && fast rv ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_int (Array.unsafe_get c.fr rv) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
-      Memspace.h_store_i64 h addr x
-  | Ir.I64, Ir.Reg ra, Ir.Imm_int iv
-    when (not track) && (not sanit) && pgd == None
-         && not (Hashtbl.mem avail ra) ->
+      Memspace.h_store_i64_log l (acquire cache c addr 8 "store") addr x
+  | Some l, Ir.I64, Ir.Reg ra, Ir.Imm_int iv when fast ra ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
-      Memspace.h_store_i64 h addr iv
-  | _ -> (
+      Memspace.h_store_i64_log l (acquire cache c addr 8 "store") addr iv
+  | log, _, _, _ -> (
     let fa = fold_addr mc avail a in
-    let acquire c addr len =
-      let h = !cache in
-      if Memspace.handle_valid h c.sp addr len then h
-      else begin
-        let h = Memspace.acquire_handle c.sp addr len "store" in
-        cache := h;
-        h
-      end
+    let store (type v) (fv : ctx -> v) (st : Memspace.handle -> int -> v -> unit)
+        len : cinstr =
+     fun c ->
+      let addr = fa c in
+      run_hook mc hook ~write:true c.sp !cache addr len;
+      let x = fv c in
+      st (acquire cache c addr len "store") addr x
     in
-    (* Tracked (inspector-executor) path: when the cached handle is
-       valid, tracking reuses its base (no index lookup) and the only
-       possible fault is the value unboxing, in tree-engine order. On a
-       cache miss, fall back to the tree engine's checked store so the
-       fault order (track's wild-pointer fault, value confusion, span
-       overrun) is preserved exactly, then warm the cache. *)
-    let tracked_store (h_store : ctx -> Memspace.handle -> int -> unit)
-        (slow_store : ctx -> int -> unit) len : cinstr =
-      fun c ->
-        let addr = fa c in
-        let h = !cache in
-        if Memspace.handle_valid h c.sp addr len then begin
-          (match mc.track_units with
-          | Some tbl -> track_store_h mc tbl (Memspace.handle_base h)
-          | None -> ());
-          h_store c h addr
-        end
-        else begin
-          (match mc.track_units with
-          | Some tbl -> track_store mc c.sp tbl addr
-          | None -> ());
-          slow_store c addr;
-          cache := Memspace.acquire_handle c.sp addr len "store"
-        end
-    in
-    (* Sanitized path: the dirty-bit update runs where the tree engine
-       runs it — after the address, before the value unboxing. *)
-    let sanit_store (h_store : ctx -> Memspace.handle -> int -> unit) len
-        (s : Sanitizer.t) : cinstr =
-      fun c ->
-        let addr = fa c in
-        Sanitizer.on_store s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-        h_store c (acquire c addr len) addr
-    in
-    (* Paged path: the touch (and any host-side migration stall) runs
-       where the hardware would fault — after the address, before the
-       bytes move. *)
-    let paged_store (h_store : ctx -> Memspace.handle -> int -> unit) len pg :
-        cinstr =
-      fun c ->
-        let addr = fa c in
-        paged_touch mc pg ~addr ~len;
-        h_store c (acquire c addr len) addr
-    in
-    (* tree-engine order: address, track, value (with its unboxing
-       fault), then the store itself *)
     match ty with
     | Ir.I8 ->
       let fv = fold_i mc avail v in
-      if track then
-        tracked_store
-          (fun c h addr -> Memspace.h_store_u8 h addr (Int64.to_int (fv c) land 0xff))
-          (fun c addr -> Memspace.store_u8 c.sp addr (Int64.to_int (fv c) land 0xff))
-          1
-      else (
-        match mc.san with
-        | Some s ->
-          sanit_store
-            (fun c h addr ->
-              Memspace.h_store_u8 h addr (Int64.to_int (fv c) land 0xff))
-            1 s
-        | None -> (
-          match pgd with
-          | Some pg ->
-            paged_store
-              (fun c h addr ->
-                Memspace.h_store_u8 h addr (Int64.to_int (fv c) land 0xff))
-              1 pg
-          | None ->
-            fun c ->
-              let addr = fa c in
-              let x = Int64.to_int (fv c) land 0xff in
-              Memspace.h_store_u8 (acquire c addr 1) addr x))
+      store
+        (fun c -> Int64.to_int (fv c) land 0xff)
+        (match log with
+        | None -> Memspace.h_store_u8
+        | Some l -> Memspace.h_store_u8_log l)
+        1
     | Ir.I64 ->
-      let fv = fold_i mc avail v in
-      if track then
-        tracked_store
-          (fun c h addr -> Memspace.h_store_i64 h addr (fv c))
-          (fun c addr -> Memspace.store_i64 c.sp addr (fv c))
-          8
-      else (
-        match mc.san with
-        | Some s ->
-          sanit_store (fun c h addr -> Memspace.h_store_i64 h addr (fv c)) 8 s
-        | None -> (
-          match pgd with
-          | Some pg ->
-            paged_store (fun c h addr -> Memspace.h_store_i64 h addr (fv c)) 8 pg
-          | None ->
-            fun c ->
-              let addr = fa c in
-              let x = fv c in
-              Memspace.h_store_i64 (acquire c addr 8) addr x))
+      store (fold_i mc avail v)
+        (match log with
+        | None -> Memspace.h_store_i64
+        | Some l -> Memspace.h_store_i64_log l)
+        8
     | Ir.F64 ->
-      let fv = fold_f mc avail v in
-      if track then
-        tracked_store
-          (fun c h addr -> Memspace.h_store_f64 h addr (fv c))
-          (fun c addr -> Memspace.store_f64 c.sp addr (fv c))
-          8
-      else (
-        match mc.san with
-        | Some s ->
-          sanit_store (fun c h addr -> Memspace.h_store_f64 h addr (fv c)) 8 s
-        | None -> (
-          match pgd with
-          | Some pg ->
-            paged_store (fun c h addr -> Memspace.h_store_f64 h addr (fv c)) 8 pg
-          | None ->
-            fun c ->
-              let addr = fa c in
-              let x = fv c in
-              Memspace.h_store_f64 (acquire c addr 8) addr x)))
+      store (fold_f mc avail v)
+        (match log with
+        | None -> Memspace.h_store_f64
+        | Some l -> Memspace.h_store_f64_log l)
+        8)
 
 and decode_term mc avail (t : Ir.terminator) : ctx -> int =
   match t with
@@ -2368,9 +2110,7 @@ and exec_compiled mc (cf : cfunc) (args : rtval array) : rtval option =
     }
   in
   let finish () =
-    List.iter
-      (fun base -> if mc.mode = Split then Runtime.expire_alloca mc.rt ~base)
-      c.registered;
+    expire_allocas mc c.registered;
     List.iter (fun base -> Memspace.free_local c.sp base) c.allocas
   in
   let blocks = cf.cblocks in
@@ -2408,16 +2148,13 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   in
   let trace = Trace.create ~enabled:config.trace () in
   (* One sanitizer instance shared by the driver, run-time and
-     interpreter hooks. Only the Split mode has two memories to keep
-     coherent; the oracle modes have nothing to check. *)
+     interpreter hooks. Only the explicit strategy has two memories to
+     keep coherent; the oracle modes and paging have nothing to check. *)
   let sanitizer =
-    (* the sanitizer checks explicit-copy coherence; under the paged
-       backend there is one memory and nothing to keep coherent *)
-    if
-      config.sanitize && config.mode = Split
-      && config.backend = Mem_backend.Explicit
-    then Some (Sanitizer.create ~dev_lo:0x4000_0000_00 ())
-    else None
+    match (config.mode, config.backend) with
+    | Split, Mem_backend.Explicit when config.sanitize ->
+      Some (Sanitizer.create ~dev_lo:0x4000_0000_00 ())
+    | _ -> None
   in
   let dev =
     Device.create ~trace
@@ -2428,15 +2165,12 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     Runtime.create ~dirty_spans:config.dirty_spans ~paranoid:config.paranoid
       ~host ~dev ()
   in
-  let paged =
+  let strat =
     match (config.mode, config.backend) with
-    | Split, Mem_backend.Paged -> Some (Paged.create ~dev config.cost)
-    | _ -> None
-  in
-  let bk =
-    match paged with
-    | Some pg -> Mem_backend.paged pg
-    | None -> Mem_backend.explicit rt
+    | Unified, _ -> Unified
+    | Inspector_executor, _ -> Inspector
+    | Split, Mem_backend.Explicit -> Explicit rt
+    | Split, Mem_backend.Paged -> Paged (Paged.create ~dev config.cost)
   in
   let funcs = Hashtbl.create 32 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.Ir.funcs;
@@ -2446,7 +2180,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       host;
       dev;
       rt;
-      mode = config.mode;
+      strat;
       engine = config.engine;
       cost = config.cost;
       funcs;
@@ -2465,8 +2199,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       profile_on = config.profile;
       profile_counts = Hashtbl.create 16;
       cur_fn = "<toplevel>";
-      bk;
-      paged;
       san = sanitizer;
       rw_cache = Hashtbl.create 8;
       jobs =
@@ -2503,12 +2235,13 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     kernel_insts = mc.kernel_insts;
     dev_stats = st;
     rt_stats = rt.Runtime.stats;
-    leaks = bk.Mem_backend.bk_leak_report ();
+    leaks = Runtime.leak_report rt;
     dev_peak_bytes = Memspace.peak_bytes dev.Device.mem;
     trace;
     profile =
       Hashtbl.fold (fun k r acc -> (k, !r) :: acc) mc.profile_counts []
       |> List.sort (fun (_, a) (_, b) -> compare b a);
     san_report = Option.map Sanitizer.report sanitizer;
-    page_stats = Option.map Paged.stats paged;
+    page_stats =
+      (match strat with Paged pg -> Some (Paged.stats pg) | _ -> None);
   }

@@ -15,7 +15,13 @@
       oracle scheduler, one byte transferred per accessed allocation unit
       (batched into one DMA per direction per launch), a sequential
       inspection pass before every launch, fully cyclic synchronisation.
-      Runs on the plain DOALL-parallelized module with no management. *)
+      Runs on the plain DOALL-parallelized module with no management.
+
+    {!run} resolves [config.mode] and [config.backend] once into one
+    communication strategy: [Unified], [Inspector] (inspector-executor),
+    [Explicit] ([Split] with the [Explicit] backend) or [Paged] ([Split]
+    with the [Paged] backend). The backend only matters under [Split]:
+    [seq+paged], [ie+paged] and [unified+paged] run as the bare mode. *)
 
 module Ir = Cgcm_ir.Ir
 module Memspace = Cgcm_memory.Memspace
@@ -73,16 +79,20 @@ type config = {
       (** shadow-memory coherence sanitizer: mirror every allocation unit
           with an independent byte-version map and raise
           {!Cgcm_support.Errors.Coherence_violation} fail-fast on stale
-          reads, lost updates, premature releases and double frees
-          ({!Split} mode only; the oracle modes have nothing to check) *)
+          reads, lost updates, premature releases and double frees.
+          It exists only under the explicit strategy ({!Split} with the
+          [Explicit] backend); the oracle modes and paging have one
+          memory and nothing to check, so the flag is ignored there. *)
   jobs : int;
       (** {!Parallel} engine only: domains executing kernel launches;
           0 (the default) resolves via [CGCM_JOBS] then
           [Domain.recommended_domain_count]. [jobs = 1] selects the
           exact sequential closure path. *)
   backend : Mem_backend.kind;
-      (** Memory backend, {!Split} mode only. [Explicit] (the default)
-          is the CGCM-managed split-memory explicit-copy model.
+      (** Memory backend, {!Split} mode only: with {!Unified} or
+          {!Inspector_executor} it is ignored and the run is the bare
+          mode. [Explicit] (the default) is the CGCM-managed
+          split-memory explicit-copy model.
           [Paged] is a single shared address space with touch-driven
           page-granular migration (managed memory): the [cgcm.*]
           intrinsics become no-ops and all communication cost comes

@@ -195,20 +195,23 @@ let split_mode m =
 
 let plan_of_mode m =
   let base, backend = split_mode m in
-  match base with
-  | "seq" -> (Doall.Off, Pipeline.Unmanaged, Interp.Unified, false, backend)
-  | "unopt" -> (Doall.Auto, Pipeline.Managed, Interp.Split, false, backend)
-  | "opt" -> (Doall.Auto, Pipeline.Optimized, Interp.Split, true, backend)
-  | "ie" ->
-    (Doall.Auto, Pipeline.Unmanaged, Interp.Inspector_executor, false, backend)
-  | "unified" -> (Doall.Auto, Pipeline.Optimized, Interp.Unified, false, backend)
-  | _ ->
-    raise
-      (Wire.Protocol_error
-         (Printf.sprintf
-            "unknown mode %S (want seq|unopt|opt|ie|unified, optionally \
-             suffixed +explicit or +paged)"
-            m))
+  let execution =
+    match base with
+    | "seq" -> Pipeline.Sequential
+    | "unopt" -> Pipeline.Cgcm_unoptimized
+    | "opt" -> Pipeline.Cgcm_optimized
+    | "ie" -> Pipeline.Inspector_executor_exec
+    | "unified" -> Pipeline.Unified_oracle Pipeline.Optimized
+    | _ ->
+      raise
+        (Wire.Protocol_error
+           (Printf.sprintf
+              "unknown mode %S (want seq|unopt|opt|ie|unified, optionally \
+               suffixed +explicit or +paged)"
+              m))
+  in
+  let parallel, level, imode, dirty_spans = Pipeline.execution_config execution in
+  (parallel, level, imode, dirty_spans, backend)
 
 let compile_tag parallel level =
   Printf.sprintf "%s/%s"
