@@ -224,6 +224,10 @@ type machine = {
   cost : Cost_model.t;
   funcs : (string, Ir.func) Hashtbl.t;
   decoded : (string, cfunc) Hashtbl.t;
+  (* tree walker: per function, which registers hold promoted alloca
+     addresses (analyze_func), so both engines hide the same accesses
+     from the access hooks *)
+  promoted : (string, bool array) Hashtbl.t;
   globals_host : (string, int) Hashtbl.t;
   out : Buffer.t;
   mutable now : float;
@@ -425,23 +429,21 @@ let load_globals mc =
       mc.m.Ir.globals
   | Unified | Inspector | Explicit _ -> ()
 
-(* Paged strategy: note an access to [addr, addr+len) and charge any
-   host-side migration synchronously. Kernel-side fault time pools
-   inside [pg] until the launch ends (Paged.flush_launch). *)
+(* Paged strategy: charge the [cyc] cycles a host-side touch returned.
+   The migrated pages may hold kernel output, so the CPU stalls for the
+   device, then pays the migration before the access completes.
+   Kernel-side touches return 0.0: their fault time pools inside [pg]
+   until the launch ends (Paged.flush_launch). *)
+let host_migration mc pg cyc =
+  flush_time mc;
+  mc.now <- Device.sync mc.dev ~now:mc.now;
+  Paged.note_host_migration pg ~start:mc.now ~cycles:cyc
+    ~pages:(Paged.last_host_fault_pages pg);
+  mc.now <- mc.now +. cyc
+
 let paged_touch mc pg ~addr ~len =
-  if mc.in_kernel then ignore (Paged.touch pg ~kernel:true ~addr ~len)
-  else begin
-    let cyc = Paged.touch pg ~kernel:false ~addr ~len in
-    if cyc > 0.0 then begin
-      (* the migrated pages may hold kernel output: stall for the
-         device, then pay the migration before the access completes *)
-      flush_time mc;
-      mc.now <- Device.sync mc.dev ~now:mc.now;
-      Paged.note_host_migration pg ~start:mc.now ~cycles:cyc
-        ~pages:(Paged.last_host_fault_pages pg);
-      mc.now <- mc.now +. cyc
-    end
-  end
+  let cyc = Paged.touch pg ~kernel:mc.in_kernel ~addr ~len in
+  if cyc > 0.0 then host_migration mc pg cyc
 
 (* A non-load/store access (driver copies, string builtins): only the
    paged strategy observes it. *)
@@ -450,13 +452,31 @@ let touch mc ~addr ~len =
   | Paged pg -> paged_touch mc pg ~addr ~len
   | Unified | Inspector | Explicit _ -> ()
 
-(* The per-access hook of the run's strategy, picked once per decoded
-   load/store site (and once per call in the tree walker). *)
+(* Inspector memo of one closure-engine site: the last unit it recorded
+   and the launch table it recorded into. A site only ever loads or only
+   ever stores, so its memo's record is of its own kind: within one
+   launch, a read after any record of the unit, or a write after a
+   write, changes nothing and is skipped. *)
+type track_memo = {
+  mutable t_tbl : (int, bool) Hashtbl.t;
+  mutable t_base : int;
+}
+
+(* the initial memo table: physically distinct from every launch's *)
+let no_table : (int, bool) Hashtbl.t = Hashtbl.create 1
+
+(* The per-access hook of the run's strategy. The tree walker picks one
+   per call and runs it on every access; each closure-engine load/store
+   site picks one at decode time, with a private memo for the paged and
+   inspector hooks ([site_hook]). The sanitizer must see every access,
+   so [Check] has no memo. *)
 type hook =
   | No_hook  (* Unified; Explicit without the sanitizer *)
   | Track  (* Inspector: record the units the current kernel touches *)
   | Check of Sanitizer.t  (* Explicit under the coherence sanitizer *)
   | Touch of Paged.t  (* Paged: page-granular migration *)
+  | Track_memo of track_memo
+  | Touch_memo of Paged.t * Paged.memo
 
 let access_hook mc =
   match (mc.strat, mc.san) with
@@ -465,32 +485,62 @@ let access_hook mc =
   | Explicit _, Some s -> Check s
   | Explicit _, None | Unified, _ -> No_hook
 
+let site_hook mc =
+  match access_hook mc with
+  | Track -> Track_memo { t_tbl = no_table; t_base = -1 }
+  | Touch pg -> Touch_memo (pg, Paged.memo ())
+  | h -> h
+
+(* Inspector tracking: record base -> written for units allocated before
+   the launch; later units are kernel stack slots, not program data.
+   [h] is the site's cached handle (null in the tree walker); when it
+   covers the access, tracking reuses its base instead of an index
+   lookup. Returns the recorded base, or -1 when nothing was recorded. *)
+let track mc tbl ~write sp h addr len =
+  let base =
+    if Memspace.handle_valid h sp addr len then Memspace.handle_base h
+    else fst (Memspace.unit_bounds sp addr)
+  in
+  if base < mc.track_threshold then begin
+    if write then Hashtbl.replace tbl base true
+    else if not (Hashtbl.mem tbl base) then Hashtbl.replace tbl base false;
+    base
+  end
+  else -1
+
 (* Run [hook] for an access of [len] bytes at [addr], before any byte
    moves: where the tree engine checks and the hardware would fault (the
-   read of a stale byte is the sanitizer's violation). [h] is the site's
-   cached handle (null in the tree walker); when it covers the access,
-   tracking reuses its base instead of an index lookup. Inspector
-   tracking records base -> written for units allocated before the
-   launch; later units are kernel stack slots, not program data. *)
+   read of a stale byte is the sanitizer's violation). *)
 let[@inline] run_hook mc hook ~write sp h addr len =
   match hook with
   | No_hook -> ()
   | Track -> (
     match mc.track_units with
     | None -> ()
+    | Some tbl -> ignore (track mc tbl ~write sp h addr len))
+  | Track_memo m -> (
+    match mc.track_units with
+    | None -> ()
     | Some tbl ->
-      let base =
-        if Memspace.handle_valid h sp addr len then Memspace.handle_base h
-        else fst (Memspace.unit_bounds sp addr)
-      in
-      if base < mc.track_threshold then
-        if write then Hashtbl.replace tbl base true
-        else if not (Hashtbl.mem tbl base) then Hashtbl.replace tbl base false)
+      if not
+           (tbl == m.t_tbl
+           && Memspace.handle_valid h sp addr len
+           && Memspace.handle_base h = m.t_base)
+      then begin
+        let base = track mc tbl ~write sp h addr len in
+        if base >= 0 then begin
+          m.t_tbl <- tbl;
+          m.t_base <- base
+        end
+      end)
   | Check s ->
     if write then
       Sanitizer.on_store s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel
     else Sanitizer.on_load s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel
   | Touch pg -> paged_touch mc pg ~addr ~len
+  | Touch_memo (pg, m) ->
+    let cyc = Paged.touch_memo pg m ~kernel:mc.in_kernel ~addr ~len in
+    if cyc > 0.0 then host_migration mc pg cyc
 
 (* A load/store site's block handle: revalidate the cached one, or
    resolve and span-check afresh (faulting as the checked accessors do)
@@ -698,13 +748,16 @@ let is_builtin name =
 
    Scalar alloca promotion: an 8-byte-or-larger unregistered alloca
    whose address register is used only as the address of whole-word
-   (I64/F64) loads and stores never escapes, never faults, and is
-   indistinguishable from a frame slot — so it gets one, skipping the
-   memory space entirely. The verifier's def-dominates-use rule means
-   the alloca always executes (and zeroes the slot) before any access;
-   ticks still count every source instruction, so timing and instruction
-   counts are unchanged. Like folding, this needs single-assignment
-   registers. *)
+   (I64/F64) loads and stores never escapes and never faults, so it gets
+   a frame slot, skipping the memory space entirely. The verifier's
+   def-dominates-use rule means the alloca always executes (and zeroes
+   the slot) before any access; ticks still count every source
+   instruction, so instruction counts are unchanged. The slot is not
+   invisible, though: no access hook (paged touch, inspector tracking,
+   sanitizer check) sees its accesses, so the tree walker, which keeps
+   a real unit for it, skips the hooks for the same registers
+   ([promoted_regs]) and both engines account the same pages and
+   units. Like folding, this needs single-assignment registers. *)
 
 type fanalysis = {
   fa_uses : int array;  (* per-register use counts *)
@@ -846,6 +899,17 @@ let kernel_shardable ~funcs (f : Ir.func) : string list option =
   | () -> Some (Hashtbl.fold (fun g () acc -> g :: acc) globals [])
   | exception Not_par -> None
 
+(* The tree walker's view of analyze_func's alloca promotion: which
+   registers hold a promoted slot's address, once per function. *)
+let promoted_regs mc (f : Ir.func) =
+  match Hashtbl.find_opt mc.promoted f.Ir.fname with
+  | Some p -> p
+  | None ->
+    let p = Array.make (max f.Ir.nregs 1) false in
+    Hashtbl.iter (fun r _ -> p.(r) <- true) (analyze_func f).fa_promo;
+    Hashtbl.replace mc.promoted f.Ir.fname p;
+    p
+
 let par_kernel_info mc (f : Ir.func) : string list option =
   match Hashtbl.find_opt mc.par_cache f.Ir.fname with
   | Some r -> r
@@ -869,6 +933,14 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
   let registered = ref [] in
   let sp = space mc in
   let hook = access_hook mc in
+  let promoted = promoted_regs mc f in
+  (* promoted alloca slots are registers to the closure engine, so no
+     hook sees their accesses there; hide them here too *)
+  let hook_access ~write a addr len =
+    match a with
+    | Ir.Reg r when promoted.(r) -> ()
+    | _ -> run_hook mc hook ~write sp Memspace.null_handle addr len
+  in
   let eval = function
     | Ir.Reg r -> frame.(r)
     | Ir.Imm_int i -> VI i
@@ -901,8 +973,7 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
     | Ir.Unop (d, op, a) -> frame.(d) <- eval_unop op (eval a)
     | Ir.Load (d, ty, a) -> begin
       let addr = Int64.to_int (as_int (eval a)) in
-      run_hook mc hook ~write:false sp Memspace.null_handle addr
-        (match ty with Ir.I8 -> 1 | _ -> 8);
+      hook_access ~write:false a addr (match ty with Ir.I8 -> 1 | _ -> 8);
       frame.(d) <-
         (match ty with
         | Ir.I8 -> VI (Int64.of_int (Memspace.load_u8 sp addr))
@@ -911,8 +982,7 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
     end
     | Ir.Store (ty, a, v) -> begin
       let addr = Int64.to_int (as_int (eval a)) in
-      run_hook mc hook ~write:true sp Memspace.null_handle addr
-        (match ty with Ir.I8 -> 1 | _ -> 8);
+      hook_access ~write:true a addr (match ty with Ir.I8 -> 1 | _ -> 8);
       match ty with
       | Ir.I8 -> Memspace.store_u8 sp addr (Int64.to_int (as_int (eval v)) land 0xff)
       | Ir.I64 -> Memspace.store_i64 sp addr (as_int (eval v))
@@ -1272,6 +1342,7 @@ and ensure_shards mc n =
             {
               mc with
               decoded = Hashtbl.create 32;
+              promoted = Hashtbl.create 1;
               out = Buffer.create 256;
               profile_counts = Hashtbl.create 16;
               shard_log = Some (Memspace.log_create ());
@@ -1934,7 +2005,7 @@ and decode_binop mc avail d op a b : cinstr =
    which is the tree engine's fault order. *)
 and decode_load mc avail d ty a : cinstr =
   let cache = ref Memspace.null_handle in
-  let hook = access_hook mc in
+  let hook = site_hook mc in
   let fast r =
     (match hook with No_hook -> true | _ -> false) && not (Hashtbl.mem avail r)
   in
@@ -1972,7 +2043,7 @@ and decode_load mc avail d ty a : cinstr =
    dirty-span bookkeeping is replayed at the join. *)
 and decode_store mc avail ty a v : cinstr =
   let cache = ref Memspace.null_handle in
-  let hook = access_hook mc in
+  let hook = site_hook mc in
   let fast r =
     (match hook with No_hook -> true | _ -> false) && not (Hashtbl.mem avail r)
   in
@@ -2185,6 +2256,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       cost = config.cost;
       funcs;
       decoded = Hashtbl.create 32;
+      promoted = Hashtbl.create 32;
       globals_host = Hashtbl.create 16;
       out = Buffer.create 256;
       now = 0.0;

@@ -45,9 +45,10 @@ type t = {
   mutable last_host_fault_pages : int;
       (* pages the most recent host-side faulting touch migrated; read
          by the interpreter's accounting hook right after the touch *)
-  (* one-entry cache: streaming accesses hit the same page repeatedly *)
-  mutable last_page : int;
-  mutable last_side : side;
+  mutable gen : int;
+      (* residence generation: bumped whenever any page's residence
+         changes (fault, first-touch populate, place_host), so a memo
+         taken at an older generation may be stale *)
 }
 
 let create ~dev (cost : Cgcm_gpusim.Cost_model.t) =
@@ -72,8 +73,7 @@ let create ~dev (cost : Cgcm_gpusim.Cost_model.t) =
     pending_cycles = 0.0;
     pending_faults = 0;
     last_host_fault_pages = 0;
-    last_page = -1;
-    last_side = Host;
+    gen = 0;
   }
 
 let stats t = t.stats
@@ -81,6 +81,7 @@ let stats t = t.stats
 (* Migrate one page to [target], charging the toucher's side. *)
 let fault t page target =
   Hashtbl.replace t.table page target;
+  t.gen <- t.gen + 1;
   (match target with
   | Device_side ->
     t.stats.faults_to_dev <- t.stats.faults_to_dev + 1;
@@ -97,6 +98,7 @@ let touch_page t page target =
   | None ->
     (* first touch: populate on the toucher's side, free *)
     Hashtbl.replace t.table page target;
+    t.gen <- t.gen + 1;
     t.stats.touched_pages <- t.stats.touched_pages + 1;
     0.0
 
@@ -105,36 +107,63 @@ let touch_page t page target =
    kernel-side touches, whose cost lands in the pending pool). *)
 let touch t ~kernel ~addr ~len =
   let target = if kernel then Device_side else Host in
+  t.stats.touches <- t.stats.touches + 1;
   let p0 = addr / t.page_bytes in
-  if p0 = t.last_page && target = t.last_side && len <= 1 then begin
-    t.stats.touches <- t.stats.touches + 1;
+  let p1 = (addr + max 1 len - 1) / t.page_bytes in
+  let cost = ref 0.0 and faulted = ref 0 in
+  for p = p0 to p1 do
+    let c = touch_page t p target in
+    if c > 0.0 then begin
+      cost := !cost +. c;
+      incr faulted
+    end
+  done;
+  if kernel then begin
+    if !faulted > 0 then begin
+      t.pending_cycles <- t.pending_cycles +. !cost;
+      t.pending_faults <- t.pending_faults + !faulted
+    end;
     0.0
   end
   else begin
-    t.stats.touches <- t.stats.touches + 1;
-    let p1 = (addr + max 1 len - 1) / t.page_bytes in
-    let cost = ref 0.0 and faulted = ref 0 in
-    for p = p0 to p1 do
-      let c = touch_page t p target in
-      if c > 0.0 then begin
-        cost := !cost +. c;
-        incr faulted
-      end
-    done;
-    t.last_page <- p1;
-    t.last_side <- target;
-    if kernel then begin
-      if !faulted > 0 then begin
-        t.pending_cycles <- t.pending_cycles +. !cost;
-        t.pending_faults <- t.pending_faults + !faulted
-      end;
-      0.0
-    end
-    else begin
-      t.last_host_fault_pages <- !faulted;
-      !cost
-    end
+    t.last_host_fault_pages <- !faulted;
+    !cost
   end
+
+(* A load/store site's memo of its last touch: the byte range of the one
+   page it touched, the side it touched from, and the residence
+   generation right after. While the generation is unchanged no page has
+   moved, so the page is still resident on that side and a same-side
+   access inside it is free: only the touch counter moves, and the table
+   is never consulted. An access spanning two pages never memoizes. *)
+type memo = {
+  mutable m_lo : int;
+  mutable m_hi : int;
+  mutable m_kernel : bool;
+  mutable m_gen : int;
+}
+
+let memo () = { m_lo = 0; m_hi = 0; m_kernel = false; m_gen = -1 }
+
+let touch_miss t m ~kernel ~addr ~len =
+  let cost = touch t ~kernel ~addr ~len in
+  let p0 = addr / t.page_bytes in
+  if p0 = (addr + max 1 len - 1) / t.page_bytes then begin
+    m.m_lo <- p0 * t.page_bytes;
+    m.m_hi <- m.m_lo + t.page_bytes;
+    m.m_kernel <- kernel;
+    m.m_gen <- t.gen
+  end;
+  cost
+
+let[@inline] touch_memo t m ~kernel ~addr ~len =
+  if m.m_gen = t.gen && m.m_kernel = kernel && addr >= m.m_lo
+     && addr + len <= m.m_hi
+  then begin
+    t.stats.touches <- t.stats.touches + 1;
+    0.0
+  end
+  else touch_miss t m ~kernel ~addr ~len
 
 (* Pre-place pages on the host without cost: module globals carry
    initial values written at load time, so their backing pages are
@@ -144,6 +173,7 @@ let place_host t ~addr ~len =
     for p = addr / t.page_bytes to (addr + len - 1) / t.page_bytes do
       if not (Hashtbl.mem t.table p) then begin
         Hashtbl.replace t.table p Host;
+        t.gen <- t.gen + 1;
         t.stats.touched_pages <- t.stats.touched_pages + 1
       end
     done

@@ -39,6 +39,22 @@ val touch : t -> kernel:bool -> addr:int -> len:int -> float
     (the pages may hold kernel output), advance its clock by the return
     value, and report the stall via {!note_host_migration}. *)
 
+type memo
+(** One load/store site's memo of its last touch (see {!touch_memo}). *)
+
+val memo : unit -> memo
+(** A fresh memo that misses on its first use. *)
+
+val touch_memo : t -> memo -> kernel:bool -> addr:int -> len:int -> float
+(** {!touch}, short-cut through the site's memo: when the access lies
+    inside the single page the memo's last touch covered, from the same
+    side, and no page's residence has changed since (a generation counter
+    that every fault, first-touch populate and {!place_host} bumps), the
+    page is still resident there, so only [stats.touches] moves and the
+    result is [0.0]. Otherwise it runs {!touch} and, when the access
+    lies within one page, remembers it. Results are identical to
+    {!touch}. *)
+
 val last_host_fault_pages : t -> int
 (** Pages migrated by the most recent host-side faulting touch. *)
 

@@ -428,8 +428,9 @@ let expire_alloca t ~base =
 (* Whole-state consistency check, run after every run-time call when
    [paranoid] is set: refcounts non-negative, epochs monotone, every
    devptr/shadow backed by a live device block, and every live "dev"
-   block owned by some unit (no orphaned device memory). *)
-let check_invariants t =
+   block owned by some unit (no orphaned device memory). [check_units]
+   is the per-unit half. *)
+let check_units t =
   let dev_mem = t.dev.Device.mem in
   let fail_inv info msg =
     fail t ~op:"checkInvariants" ~addr:info.base ~unit_:(snapshot info) msg
@@ -488,23 +489,42 @@ let check_invariants t =
                      "shadow-array element 0x%x outside every registered unit"
                      p))
             info.arr_elems)
-    t.info;
-  (* Reverse direction: every live device block the driver handed to the
-     run-time ("dev" tag) must still be reachable from some unit. *)
-  let owned = Hashtbl.create 32 in
-  Avl.iter
-    (fun _ i ->
-      (match i.devptr with Some d -> Hashtbl.replace owned d () | None -> ());
-      match i.arr_shadow with
-      | Some s -> Hashtbl.replace owned s ()
-      | None -> ())
-    t.info;
-  List.iter
-    (fun (base, size, tag) ->
-      if tag = "dev" && not (Hashtbl.mem owned base) then
-        fail t ~op:"checkInvariants" ~addr:base
-          (Printf.sprintf "orphaned device block (%d bytes): leak" size))
-    (Memspace.blocks_snapshot dev_mem)
+    t.info
+
+(* The reverse half: every live device block the driver handed to a
+   run-time ("dev" tag) must still be reachable from some unit of one of
+   [ts], run-times that all share one device. One sweep of the device's
+   blocks serves them all. *)
+let check_orphans = function
+  | [] -> ()
+  | t0 :: _ as ts ->
+    let owned = Hashtbl.create 32 in
+    List.iter
+      (fun t ->
+        if t.dev != t0.dev then
+          invalid_arg "Runtime.check_orphans: run-times on different devices";
+        Avl.iter
+          (fun _ i ->
+            (match i.devptr with
+            | Some d -> Hashtbl.replace owned d ()
+            | None -> ());
+            match i.arr_shadow with
+            | Some s -> Hashtbl.replace owned s ()
+            | None -> ())
+          t.info)
+      ts;
+    List.iter
+      (fun (base, size, tag) ->
+        if tag = "dev" && not (Hashtbl.mem owned base) then
+          fail t0 ~op:"checkInvariants" ~addr:base
+            (Printf.sprintf "orphaned device block (%d bytes): leak" size))
+      (Memspace.blocks_snapshot t0.dev.Device.mem)
+
+let check_shared_invariants ts =
+  List.iter check_units ts;
+  check_orphans ts
+
+let check_invariants t = check_shared_invariants [ t ]
 
 let post t = if t.paranoid then check_invariants t
 

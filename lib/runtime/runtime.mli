@@ -175,6 +175,13 @@ val check_invariants : t -> unit
     {!Runtime_error} on the first violation. Runs automatically after
     every run-time call when [paranoid] is set. *)
 
+val check_shared_invariants : t list -> unit
+(** {!check_invariants} for run-times that share one device: each
+    run-time's units, then a single sweep of the device's blocks, where
+    a "dev" block is an orphan unless some unit of some run-time in the
+    list owns it. Costs one block walk instead of one per run-time.
+    Raises [Invalid_argument] if the run-times use different devices. *)
+
 type leak_report = {
   resident_nonglobal : int;
       (** non-global units still device-resident (a leak at exit) *)

@@ -186,7 +186,8 @@ let warm t ~tenant ~key ~globals ?init () =
   ok
 
 let check_invariants t =
-  Hashtbl.iter (fun _ e -> Runtime.check_invariants e.e_rt) t.entries
+  Runtime.check_shared_invariants
+    (List.rev (Hashtbl.fold (fun _ e acc -> e.e_rt :: acc) t.entries []))
 
 let shutdown t =
   let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in

@@ -58,8 +58,10 @@ val evict_lru_unit : ?except:string -> t -> bool
 val cross_evictions : t -> int
 
 val check_invariants : t -> unit
-(** {!Cgcm_runtime.Runtime.check_invariants} on every entry — the
-    daemon's crash-only audit between requests. *)
+(** {!Cgcm_runtime.Runtime.check_shared_invariants} over every entry's
+    run-time: each entry's units, then one sweep of the shared device
+    for orphaned "dev" blocks — the daemon's crash-only audit between
+    requests. *)
 
 val shutdown : t -> int
 (** Evict all warmth, verify per-entry leak reports, and return the

@@ -446,6 +446,28 @@ let test_cross_tenant_eviction_write_back () =
   Residency.check_invariants res;
   check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
 
+(* The between-request audit checks every warm entry against one sweep
+   of the shared device: a "dev" block no entry owns is still an
+   orphan, however many entries there are. *)
+let test_residency_audit_catches_orphans () =
+  let res = Residency.create ~device_mem:max_int () in
+  let dev = Residency.device res in
+  List.iter
+    (fun tenant ->
+      check Alcotest.bool (tenant ^ " warms") true
+        (Residency.warm res ~tenant ~key:"k" ~globals:[ ("g", 64); ("h", 32) ] ()))
+    [ "alice"; "bob"; "carol" ];
+  Residency.check_invariants res;
+  let orphan = Memspace.alloc ~tag:"dev" dev.Device.mem 48 in
+  (match Residency.check_invariants res with
+  | () -> Alcotest.fail "orphaned dev block went unnoticed"
+  | exception Runtime.Runtime_error e ->
+    check Alcotest.(option int) "the orphan is the faulting address"
+      (Some orphan) e.Cgcm_support.Errors.addr);
+  Memspace.free dev.Device.mem orphan;
+  Residency.check_invariants res;
+  check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
+
 (* ------------------------------------------------------------------ *)
 (* The soak: the issue's acceptance scenario, engine-level             *)
 
@@ -1082,6 +1104,8 @@ let tests =
       test_circuit_breaker_lifecycle;
     Alcotest.test_case "cross-tenant eviction writes back byte-exactly" `Quick
       test_cross_tenant_eviction_write_back;
+    Alcotest.test_case "residency audit catches an orphaned dev block" `Quick
+      test_residency_audit_catches_orphans;
     Alcotest.test_case "soak: faults, sheds, deadlines, bit-identity" `Slow
       test_soak;
     Alcotest.test_case "live daemon round-trip on the socket" `Quick
