@@ -1,45 +1,46 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 6) and runs Bechamel micro-benchmarks of
-   the core primitives.
+   paper's evaluation (Section 6) and runs the repository's exit-coded
+   gates. It writes no file; host-time measurement with a fingerprint
+   and repetitions lives in perfbench/.
 
-     dune exec bench/main.exe                 -- everything
+     dune exec bench/main.exe                 -- every paper artifact
      dune exec bench/main.exe -- figure4      -- one artifact
      dune exec bench/main.exe -- table3
      dune exec bench/main.exe -- table1
      dune exec bench/main.exe -- figure2
      dune exec bench/main.exe -- applicability
      dune exec bench/main.exe -- ablation
-     dune exec bench/main.exe -- micro
-*)
+     dune exec bench/main.exe -- validate     -- the claims gate
+     dune exec bench/main.exe -- compile      -- cached vs uncached gate
+     dune exec bench/main.exe -- serve [--seeds=11,23]
+
+   A gate that fails exits 1; an unknown argument exits 2. *)
 
 module E = Cgcm_core.Experiments
 module Pipeline = Cgcm_core.Pipeline
 module Interp = Cgcm_interp.Interp
-module Memspace = Cgcm_memory.Memspace
-module Device = Cgcm_gpusim.Device
-module Cost_model = Cgcm_gpusim.Cost_model
-module Runtime = Cgcm_runtime.Runtime
-module Avl = Cgcm_support.Avl_map.Int
+module Registry = Cgcm_progs.Registry
+module Table = Cgcm_report.Table
 module Pass = Cgcm_transform.Pass
 module Manager = Pass.Manager
+module Loadgen = Cgcm_serve.Loadgen
 
 let section title =
   Fmt.pr "@.%s@.%s@.@." title (String.make (String.length title) '=')
 
+let fail fmt = Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; exit 1) fmt
+
 (* ------------------------------------------------------------------ *)
 (* The paper's artifacts                                               *)
 
-let suite_results = ref None
-
-let get_suite () =
-  match !suite_results with
-  | Some r -> r
-  | None ->
-    let r =
-      E.run_suite ~progress:(fun name -> Fmt.epr "  running %s...@." name) ()
-    in
-    suite_results := Some r;
-    r
+let get_suite =
+  let results =
+    lazy
+      (E.run_suite
+         ~progress:(fun name -> Fmt.epr "  running %s...@." name)
+         ())
+  in
+  fun () -> Lazy.force results
 
 let figure4 () =
   section "Figure 4: whole-program speedups (24 programs)";
@@ -85,394 +86,113 @@ let sweep () =
   section "Cost-model sensitivity sweep (extension)";
   print_string (E.latency_sweep ())
 
+(* The headline claims, the backend claims checked against each
+   program's optimized run on the paged backend. *)
 let validate () =
   section "Claim validation";
-  let text, ok = Cgcm_core.Validate.report (get_suite ()) in
+  let suite = get_suite () in
+  let paged =
+    List.map
+      (fun (r : E.prog_result) ->
+        Fmt.epr "  running %s on the paged backend...@." r.E.prog.Registry.name;
+        snd
+          (Pipeline.run ~backend:Cgcm_runtime.Mem_backend.Paged
+             Pipeline.Cgcm_optimized r.E.prog.Registry.source))
+      suite
+  in
+  let text, ok = Cgcm_core.Validate.report suite ~paged in
   print_string text;
   if not ok then exit 1
 
-let check_outputs () =
-  let bad = List.filter (fun r -> not r.E.outputs_match) (get_suite ()) in
-  if bad = [] then
-    Fmt.pr "@.All 24 programs produce identical output in every mode.@."
-  else
-    List.iter
-      (fun r ->
-        Fmt.pr "!! OUTPUT MISMATCH: %s@." r.E.prog.Cgcm_progs.Registry.name)
-      bad
-
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core primitives                    *)
+(* compile: the caching analysis manager vs restart-from-scratch       *)
 
-let bench_avl =
-  let t = ref Avl.empty in
-  for i = 0 to 255 do
-    t := Avl.add (i * 64) i !t
-  done;
-  let t = !t in
-  Bechamel.Test.make ~name:"avl-greatest-leq-256-units"
-    (Bechamel.Staged.stage (fun () -> Avl.greatest_leq 8191 t))
+(* The optimized pipeline over every suite program, [reps] times, once
+   with cached analyses and once with every query recomputed (what the
+   mid-end did before the manager existed). Only the cache policy
+   differs; the manager must win by [min_speedup]. *)
+let reps = 5
+let min_speedup = 1.5
 
-let mk_runtime () =
-  let host =
-    Memspace.create ~name:"host" ~range_lo:0x10_0000 ~range_hi:0x4000_0000_00
-  in
-  let dev = Device.create Cost_model.default in
-  let rt = Runtime.create ~host ~dev () in
-  let base = Memspace.alloc host 4096 in
-  Runtime.register_heap rt ~base ~size:4096;
-  (rt, base)
-
-let bench_map_release =
-  let rt, base = mk_runtime () in
-  Bechamel.Test.make ~name:"runtime-map-release-4KiB"
-    (Bechamel.Staged.stage (fun () ->
-         let d = Runtime.map rt base in
-         Runtime.release rt base;
-         d))
-
-let bench_map_resident =
-  let rt, base = mk_runtime () in
-  ignore (Runtime.map rt base);
-  Bechamel.Test.make ~name:"runtime-map-release-resident"
-    (Bechamel.Staged.stage (fun () ->
-         let d = Runtime.map rt base in
-         Runtime.release rt base;
-         d))
-
-let bench_memspace =
-  let m = Memspace.create ~name:"bench" ~range_lo:0x1000 ~range_hi:0x100_0000 in
-  let a = Memspace.alloc m 8192 in
-  Bechamel.Test.make ~name:"memspace-load-f64"
-    (Bechamel.Staged.stage (fun () -> Memspace.load_f64 m (a + 4096)))
-
-let bench_compile =
-  let src = Cgcm_progs.Polybench.gemm ~n:8 () in
-  Bechamel.Test.make ~name:"pipeline-compile-gemm"
-    (Bechamel.Staged.stage (fun () ->
-         Pipeline.compile ~level:Pipeline.Optimized src))
-
-let bench_interp =
-  let src = Cgcm_progs.Polybench.gemm ~n:6 () in
-  lazy
-    (let c = Pipeline.compile ~level:Pipeline.Optimized src in
-     Bechamel.Test.make ~name:"interp-run-gemm-n6"
-       (Bechamel.Staged.stage (fun () -> Interp.run c.Pipeline.modul)))
-
-(* The same program under the tree-walking engine: the micro table's
-   interp-dispatch A/B. *)
-let bench_interp_tree =
-  let src = Cgcm_progs.Polybench.gemm ~n:6 () in
-  lazy
-    (let c = Pipeline.compile ~level:Pipeline.Optimized src in
-     let cfg = { Interp.default_config with Interp.engine = Interp.Tree_walk } in
-     Bechamel.Test.make ~name:"interp-run-gemm-n6-tree"
-       (Bechamel.Staged.stage (fun () -> Interp.run ~config:cfg c.Pipeline.modul)))
-
-(* A larger gemm under the closure engine and under the domain-pool
-   engine at 4 jobs: the host-parallelism A/B (trip 24 clears the
-   default sharding threshold). *)
-let bench_interp_par =
-  let src = Cgcm_progs.Polybench.gemm ~n:24 () in
-  lazy
-    (let c = Pipeline.compile ~level:Pipeline.Optimized src in
-     let seq_cfg =
-       { Interp.default_config with Interp.engine = Interp.Closures }
-     in
-     let par_cfg =
-       { Interp.default_config with Interp.engine = Interp.Parallel; jobs = 4 }
-     in
-     [
-       Bechamel.Test.make ~name:"interp-run-gemm-n24"
-         (Bechamel.Staged.stage (fun () ->
-              Interp.run ~config:seq_cfg c.Pipeline.modul));
-       Bechamel.Test.make ~name:"interp-run-gemm-n24-par-j4"
-         (Bechamel.Staged.stage (fun () ->
-              Interp.run ~config:par_cfg c.Pipeline.modul));
-     ])
-
-let micro_rows () =
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"cgcm"
-      ([
-        bench_avl;
-        bench_memspace;
-        bench_map_release;
-        bench_map_resident;
-        bench_compile;
-        Lazy.force bench_interp;
-        Lazy.force bench_interp_tree;
-      ]
-      @ Lazy.force bench_interp_par)
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name ols acc ->
-      let est =
-        match Analyze.OLS.estimates ols with Some [ e ] -> Some e | _ -> None
-      in
-      (name, est) :: acc)
-    results []
-  |> List.sort compare
-
-let micro () =
-  section "Bechamel micro-benchmarks (ns per operation)";
-  let rows =
-    List.map
-      (fun (name, est) ->
-        [
-          name;
-          (match est with Some e -> Printf.sprintf "%.1f" e | None -> "n/a");
-        ])
-      (micro_rows ())
-  in
-  print_string
-    (Cgcm_report.Table.render
-       ~aligns:[ Cgcm_report.Table.Left; Cgcm_report.Table.Right ]
-       ~header:[ "benchmark"; "ns/op" ] rows)
-
-(* ------------------------------------------------------------------ *)
-(* micro --json: the machine-readable performance baseline             *)
-
-(* Emits BENCH_5.json: the micro table, an honest A/B of the three
-   interpreter engines over the whole 24-program suite (same binary, the
-   tree-walker is the pre-optimisation interpreter kept behind the
-   engine flag; the parallel engine shards kernel launches across a
-   domain pool), the dirty-span transfer volumes against whole-unit
-   copies, and the compile-time A/B of the caching analysis manager
-   against the restart-from-scratch discipline the mid-end used to run
-   with. Host wall-clock numbers are whatever the machine gives —
-   "host_cores" records how much hardware parallelism was actually
-   available, because a domain pool cannot beat the clock on one core. *)
-let micro_json () =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"cgcm-bench-5\",\n";
-  (* 1. micro-benchmarks *)
-  add "  \"micro_ns_per_op\": {\n";
-  let rows = micro_rows () in
-  List.iteri
-    (fun i (name, est) ->
-      add "    %S: %s%s\n" name
-        (match est with Some e -> Printf.sprintf "%.1f" e | None -> "null")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  add "  },\n";
-  (* 2. suite wall-clock, both engines *)
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Fmt.epr "  timing suite under the closure engine...@.";
-  let closures_res, closures_s =
-    time (fun () -> E.run_suite ~engine:Interp.Closures ())
-  in
-  Fmt.epr "  timing suite under the tree-walk engine...@.";
-  let tree_res, tree_s = time (fun () -> E.run_suite ~engine:Interp.Tree_walk ()) in
-  let agree a b =
-    a.E.outputs_match && b.E.outputs_match
-    && a.E.opt.Interp.output = b.E.opt.Interp.output
-    && a.E.opt.Interp.wall = b.E.opt.Interp.wall
-    && a.E.ie.Interp.wall = b.E.ie.Interp.wall
-    && a.E.unopt.Interp.wall = b.E.unopt.Interp.wall
-  in
-  let engines_agree = List.for_all2 agree closures_res tree_res in
-  add "  \"suite\": {\n";
-  add "    \"programs\": %d,\n" (List.length closures_res);
-  add "    \"closures_wall_s\": %.3f,\n" closures_s;
-  add "    \"tree_walk_wall_s\": %.3f,\n" tree_s;
-  add "    \"speedup\": %.2f,\n" (tree_s /. closures_s);
-  add "    \"engines_agree\": %b\n" engines_agree;
-  add "  },\n";
-  (* 2b. the parallel engine over the same suite: simulated clocks,
-     outputs, launch and transfer counts must be unchanged (the sharding
-     is invisible to the simulation); host wall-clock scales with
-     whatever cores the machine has *)
-  let jobs = 4 in
-  Fmt.epr "  timing suite under the parallel engine (%d jobs)...@." jobs;
-  let par_res, par_s =
-    time (fun () -> E.run_suite ~engine:Interp.Parallel ~jobs ())
-  in
-  let sim_stats_unchanged =
-    List.for_all2
-      (fun a b ->
-        agree a b
-        && a.E.opt.Interp.dev_stats = b.E.opt.Interp.dev_stats
-        && a.E.opt.Interp.rt_stats = b.E.opt.Interp.rt_stats
-        && a.E.opt.Interp.kernel_insts = b.E.opt.Interp.kernel_insts)
-      closures_res par_res
-  in
-  add "  \"parallel\": {\n";
-  add "    \"jobs\": %d,\n" jobs;
-  let host_cores = Domain.recommended_domain_count () in
-  add "    \"host_cores\": %d,\n" host_cores;
-  (* A domain pool cannot beat the clock on one core: the numbers are
-     still valid measurements, but not of parallel speedup. Flag them so
-     downstream comparisons (CI baselines, BENCH artifacts) don't read a
-     single-core slowdown as a regression. *)
-  if host_cores <= 1 then begin
-    Fmt.epr
-      "  warning: only %d host core available — parallel-engine timings \
-       are degraded (pool overhead, no parallel speedup)@."
-      host_cores;
-    add "    \"degraded\": true,\n"
-  end;
-  add "    \"parallel_wall_s\": %.3f,\n" par_s;
-  add "    \"speedup_vs_closures\": %.2f,\n" (closures_s /. par_s);
-  add "    \"engines_agree\": %b,\n" sim_stats_unchanged;
-  (* large-trip kernels are where sharding has room to pay off: time the
-     biggest DOALL programs individually under both engines *)
-  let large = [ "gemm"; "2mm"; "3mm"; "cfd"; "blackscholes" ] in
-  add "    \"large_trip\": {\n";
-  List.iteri
-    (fun i name ->
-      let prog = Option.get (Cgcm_progs.Registry.find name) in
-      let src = prog.Cgcm_progs.Registry.source in
-      let once engine jobs =
-        snd
-          (time (fun () ->
-               ignore
-                 (Pipeline.run ~engine ~jobs Pipeline.Cgcm_optimized src)))
-      in
-      let seq_s = once Interp.Closures 0 in
-      let par_s = once Interp.Parallel jobs in
-      add "      %S: { \"closures_s\": %.3f, \"parallel_s\": %.3f, \"speedup\": %.2f }%s\n"
-        name seq_s par_s (seq_s /. par_s)
-        (if i = List.length large - 1 then "" else ","))
-    large;
-  add "    }\n";
-  add "  },\n";
-  (* 3. dirty-span transfer volumes: optimized runs with the span
-     tracker on (default) vs forced whole-unit copies *)
-  let bytes_of (r : Interp.result) =
-    r.Interp.dev_stats.Device.htod_bytes + r.Interp.dev_stats.Device.dtoh_bytes
-  in
-  let dirty_on, saved, partial =
-    List.fold_left
-      (fun (b, s, p) r ->
-        ( b + bytes_of r.E.opt,
-          s + r.E.opt.Interp.rt_stats.Runtime.bytes_saved,
-          p + r.E.opt.Interp.rt_stats.Runtime.partial_copies ))
-      (0, 0, 0) closures_res
-  in
-  Fmt.epr "  re-running optimized configs with dirty spans off...@.";
-  let dirty_off =
-    List.fold_left
-      (fun b (p : Cgcm_progs.Registry.program) ->
-        let _, r =
-          Pipeline.run ~dirty_spans:false Pipeline.Cgcm_optimized p.source
-        in
-        b + bytes_of r)
-      0 Cgcm_progs.Registry.all
-  in
-  add "  \"dirty_spans\": {\n";
-  add "    \"opt_bytes_with_spans\": %d,\n" dirty_on;
-  add "    \"opt_bytes_whole_unit\": %d,\n" dirty_off;
-  add "    \"bytes_saved\": %d,\n" saved;
-  add "    \"partial_copies\": %d\n" partial;
-  add "  },\n";
-  (* 4. compile-time: the caching analysis manager vs the
-     restart-from-scratch discipline (every analysis query recomputed,
-     which is what the mid-end did before the manager existed). Same
-     optimized pipeline, same programs; only the cache policy differs. *)
-  let reps = 5 in
-  let compile_suite analysis =
-    let per_pass = Hashtbl.create 8 in
-    let cache = Hashtbl.create 8 in
-    let total = ref 0.0 in
+let compile_gate () =
+  section "Compile time: cached vs uncached analyses";
+  let measure analysis =
+    let per_pass = Hashtbl.create 8 and cache = Hashtbl.create 8 in
+    let bump tbl k f zero =
+      let v = Option.value (Hashtbl.find_opt tbl k) ~default:zero in
+      Hashtbl.replace tbl k (f v)
+    in
     for _ = 1 to reps do
       List.iter
-        (fun (p : Cgcm_progs.Registry.program) ->
+        (fun (p : Registry.program) ->
           let c =
             Pipeline.compile ~level:Pipeline.Optimized ~analysis
-              p.Cgcm_progs.Registry.source
+              p.Registry.source
           in
           List.iter
             (fun (s : Pass.pass_stat) ->
-              let cur =
-                try Hashtbl.find per_pass s.Pass.ps_pass with Not_found -> 0.0
-              in
-              Hashtbl.replace per_pass s.Pass.ps_pass (cur +. s.Pass.ps_wall_ms);
-              total := !total +. s.Pass.ps_wall_ms)
+              bump per_pass s.Pass.ps_pass (( +. ) s.Pass.ps_wall_ms) 0.0)
             c.Pipeline.pass_stats;
           List.iter
             (fun (n, h, m) ->
-              let h0, m0 = try Hashtbl.find cache n with Not_found -> (0, 0) in
-              Hashtbl.replace cache n (h0 + h, m0 + m))
+              bump cache n (fun (h0, m0) -> (h0 + h, m0 + m)) (0, 0))
             c.Pipeline.cache_stats)
-        Cgcm_progs.Registry.all
+        Registry.all
     done;
-    (per_pass, cache, !total)
+    let sorted tbl =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+    in
+    (sorted per_pass, sorted cache)
   in
   Fmt.epr "  timing the optimized pipeline with cached analyses...@.";
-  let cached_pass, cached_cache, cached_ms = compile_suite Manager.Cached in
+  let cached_pass, cached_cache = measure Manager.Cached in
   Fmt.epr "  timing the optimized pipeline with uncached analyses...@.";
-  let unc_pass, unc_cache, unc_ms = compile_suite Manager.Uncached in
-  let add_side name (per_pass, cache, total_ms) last =
-    add "    %S: {\n" name;
-    add "      \"total_ms\": %.2f,\n" total_ms;
-    add "      \"per_pass_ms\": {\n";
-    let rows =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_pass [] |> List.sort compare
-    in
-    List.iteri
-      (fun i (k, v) ->
-        add "        %S: %.2f%s\n" k v
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    add "      },\n";
-    add "      \"analysis_cache\": {\n";
-    let rows =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache [] |> List.sort compare
-    in
-    List.iteri
-      (fun i (k, (h, m)) ->
-        add "        %S: { \"hits\": %d, \"misses\": %d }%s\n" k h m
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    add "      }\n";
-    add "    }%s\n" (if last then "" else ",")
+  let unc_pass, unc_cache = measure Manager.Uncached in
+  let total rows = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 rows in
+  let ms x = Printf.sprintf "%.2f" x in
+  let hm (h, m) = Printf.sprintf "%d/%d" h m in
+  (* both sides run the same plan on the same programs, so they name the
+     same passes and analyses *)
+  let side_by_side show cached uncached =
+    List.map
+      (fun (name, c) -> [ name; show c; show (List.assoc name uncached) ])
+      cached
   in
-  add "  \"compile\": {\n";
-  add "    \"programs\": %d,\n" (List.length Cgcm_progs.Registry.all);
-  add "    \"reps\": %d,\n" reps;
-  add_side "cached" (cached_pass, cached_cache, cached_ms) false;
-  add_side "uncached" (unc_pass, unc_cache, unc_ms) false;
-  add "    \"speedup\": %.2f\n" (unc_ms /. cached_ms);
-  add "  }\n";
-  add "}\n";
-  let path = "BENCH_5.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Fmt.pr "wrote %s@." path
+  let aligns = [ Table.Left; Table.Right; Table.Right ] in
+  Fmt.pr "%d programs x %d reps, optimized pipeline; ms summed per pass@.@."
+    (List.length Registry.all) reps;
+  print_string
+    (Table.render ~aligns ~header:[ "pass"; "cached ms"; "uncached ms" ]
+       (side_by_side ms cached_pass unc_pass
+       @ [ [ "total"; ms (total cached_pass); ms (total unc_pass) ] ]));
+  Fmt.pr "@.";
+  print_string
+    (Table.render ~aligns
+       ~header:[ "analysis"; "cached hits/misses"; "uncached hits/misses" ]
+       (side_by_side hm cached_cache unc_cache));
+  let speedup = total unc_pass /. total cached_pass in
+  Fmt.pr "@.compile speedup (uncached / cached): %.2fx (gate >= %.1fx)@."
+    speedup min_speedup;
+  if speedup < min_speedup then
+    fail "compile gate: speedup %.2fx below %.1fx" speedup min_speedup
 
 (* ------------------------------------------------------------------ *)
-(* serve: daemon load benchmark -> BENCH_7.json                        *)
+(* serve: daemon load gate                                             *)
 
 (* Forks the daemon, drives it with the deterministic load generator at
-   two fault seeds, and emits requests/sec, p50/p99 latency, shed rate
-   and cache hit rate. The two seeds double as a stability gate: the
+   each fault seed, and prints requests/sec, p50/p99 latency, shed rate
+   and cache hit rate. The seeds double as a stability gate: the
    robustness envelope (admission, deadlines, retries, breakers) should
-   make throughput and tail latency insensitive to *which* faults fire,
-   so a >2x swing between seeds is a regression. *)
+   make tail latency and shedding insensitive to *which* faults fire, so
+   a >2x swing between seeds is a regression. *)
 let serve_seeds = ref [ 11; 23 ]
+let max_spread = 2.0
 
-let serve_json () =
-  section "cgcm serve: daemon load benchmark";
+let serve () =
+  section "cgcm serve: daemon load gate";
   let tenants = 4 and requests = 120 and burst = 16 and max_queue = 8 in
-  let fault_plan seed = Printf.sprintf "%d:htod%%0.02,launch%%0.02" seed in
+  let faults = "htod%0.02,launch%0.02" in
+  let fault_plan seed = Printf.sprintf "%d:%s" seed faults in
   let run_one seed =
     let socket =
       Printf.sprintf "/tmp/cgcm-bench-serve-%d-%d.sock" (Unix.getpid ()) seed
@@ -497,262 +217,106 @@ let serve_json () =
       if not (Cgcm_serve.Client.wait_ready ~socket_path:socket ()) then
         failwith "serve bench: daemon did not come up";
       let report =
-        Cgcm_serve.Loadgen.run ~socket_path:socket ~tenants ~requests ~burst
-          ~seed ()
+        Loadgen.run ~socket_path:socket ~tenants ~requests ~burst ~seed ()
       in
       ignore (Cgcm_serve.Client.shutdown ~socket_path:socket : bool);
       let _, status = Unix.waitpid [] pid in
       (report, status = Unix.WEXITED 0)
   in
-  let runs = List.map (fun seed -> (seed, run_one seed)) !serve_seeds in
+  Fmt.pr "%d tenants, %d requests, burst %d, max queue %d, faults %s@.@."
+    tenants requests burst max_queue faults;
+  let runs =
+    List.map
+      (fun seed ->
+        let report, clean = run_one seed in
+        Fmt.pr "seed %d: %s clean_shutdown=%b@." seed (Loadgen.summary report)
+          clean;
+        (report, clean))
+      !serve_seeds
+  in
   (* Stability between seeds, with floors so sub-millisecond noise and
      near-zero rates cannot fabricate a huge ratio. *)
-  let ratio ~floor a b =
-    let a = Float.max a floor and b = Float.max b floor in
-    Float.max a b /. Float.min a b
+  let spread ~floor xs =
+    let xs = List.map (Float.max floor) xs in
+    List.fold_left Float.max floor xs
+    /. List.fold_left Float.min Float.infinity xs
   in
-  let p99s = List.map (fun (_, (r, _)) -> r.Cgcm_serve.Loadgen.lr_p99_ms) runs in
-  let sheds =
-    List.map (fun (_, (r, _)) -> r.Cgcm_serve.Loadgen.lr_shed_rate) runs
+  let p99_ratio =
+    spread ~floor:5.0 (List.map (fun (r, _) -> r.Loadgen.lr_p99_ms) runs)
   in
-  let spread ~floor = function
-    | [] | [ _ ] -> 1.0
-    | x :: rest -> List.fold_left (fun acc y -> Float.max acc (ratio ~floor x y)) 1.0 rest
+  let shed_ratio =
+    spread ~floor:0.01 (List.map (fun (r, _) -> r.Loadgen.lr_shed_rate) runs)
   in
-  let p99_ratio = spread ~floor:5.0 p99s in
-  let shed_ratio = spread ~floor:0.01 sheds in
-  let within_bounds = p99_ratio <= 2.0 && shed_ratio <= 2.0 in
-  let all_clean = List.for_all (fun (_, (_, clean)) -> clean) runs in
-  let envelope_exercised =
-    List.for_all
-      (fun (_, (r, _)) ->
-        r.Cgcm_serve.Loadgen.lr_shed > 0
-        && r.Cgcm_serve.Loadgen.lr_deadline > 0
-        && r.Cgcm_serve.Loadgen.lr_cache_hit_rate > 0.0)
-      runs
-  in
-  let json : Cgcm_serve.Json.t =
-    Obj
-      [
-        ("schema", Cgcm_serve.Json.Str "cgcm-bench-7");
-        ( "config",
-          Obj
-            [
-              ("tenants", Cgcm_serve.Json.Int tenants);
-              ("requests", Cgcm_serve.Json.Int requests);
-              ("burst", Cgcm_serve.Json.Int burst);
-              ("max_queue", Cgcm_serve.Json.Int max_queue);
-              ("fault_plan", Cgcm_serve.Json.Str (fault_plan 0));
-            ] );
-        ( "seeds",
-          Obj
-            (List.map
-               (fun (seed, (r, clean)) ->
-                 ( string_of_int seed,
-                   match Cgcm_serve.Loadgen.report_json r with
-                   | Obj fields ->
-                     Cgcm_serve.Json.Obj
-                       (fields
-                       @ [ ("clean_shutdown", Cgcm_serve.Json.Bool clean) ])
-                   | other -> other ))
-               runs) );
-        ( "stability",
-          Obj
-            [
-              ("p99_ratio", Cgcm_serve.Json.Float p99_ratio);
-              ("shed_rate_ratio", Cgcm_serve.Json.Float shed_ratio);
-              ("within_bounds", Cgcm_serve.Json.Bool within_bounds);
-              ("clean_shutdowns", Cgcm_serve.Json.Bool all_clean);
-              ("envelope_exercised", Cgcm_serve.Json.Bool envelope_exercised);
-            ] );
-      ]
-  in
-  let path = "BENCH_7.json" in
-  let oc = open_out path in
-  output_string oc (Cgcm_serve.Json.print json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "%s@." (Cgcm_serve.Json.print json);
-  Fmt.pr "wrote %s@." path;
-  if not all_clean then begin
-    Fmt.epr "serve bench: daemon did not shut down cleanly@.";
-    exit 1
-  end;
-  if not envelope_exercised then begin
-    Fmt.epr
-      "serve bench: robustness envelope not exercised (need sheds, \
-       deadlines and cache hits at every seed)@.";
-    exit 1
-  end;
-  if not within_bounds then begin
-    Fmt.epr
-      "serve bench: seed instability (p99 ratio %.2f, shed-rate ratio \
-       %.2f; bound 2.0)@."
-      p99_ratio shed_ratio;
-    exit 1
-  end
+  Fmt.pr "@.p99 ratio %.2f, shed-rate ratio %.2f (bound %.1f)@." p99_ratio
+    shed_ratio max_spread;
+  if not (List.for_all snd runs) then
+    fail "serve gate: daemon did not shut down cleanly";
+  if
+    not
+      (List.for_all
+         (fun (r, _) ->
+           r.Loadgen.lr_shed > 0 && r.Loadgen.lr_deadline > 0
+           && r.Loadgen.lr_cache_hit_rate > 0.0)
+         runs)
+  then
+    fail
+      "serve gate: robustness envelope not exercised (need sheds, deadlines \
+       and cache hits at every seed)";
+  if p99_ratio > max_spread || shed_ratio > max_spread then
+    fail
+      "serve gate: seed instability (p99 ratio %.2f, shed-rate ratio %.2f; \
+       bound %.1f)"
+      p99_ratio shed_ratio max_spread
 
 (* ------------------------------------------------------------------ *)
-(* mem-backend A/B: explicit copies vs paged migration -> BENCH_10.json *)
 
-(* Runs the full suite's optimized configuration under both memory
-   backends and emits per-program cycle counts, the explicit backend's
-   transfer volumes, and the paged backend's page-fault volumes. Two
-   gates: every program must be bit-identical across backends with a
-   clean leak report (the backends may only move cost, never values),
-   and at least one program must show explicit-copy CGCM beating paged
-   migration by >= 2x — the measurable version of the paper's claim
-   that managed explicit transfers out-run on-demand paging. *)
-let membackend_json () =
-  section "memory backends: explicit copies vs paged migration";
-  let module J = Cgcm_serve.Json in
-  let module MB = Cgcm_runtime.Mem_backend in
-  let module Paged = Cgcm_runtime.Paged in
-  let progs = Cgcm_progs.Registry.all in
-  let rows =
-    List.map
-      (fun (p : Cgcm_progs.Registry.program) ->
-        Fmt.epr "  running %s under both backends...@."
-          p.Cgcm_progs.Registry.name;
-        let run backend =
-          snd
-            (Pipeline.run ~backend Pipeline.Cgcm_optimized
-               p.Cgcm_progs.Registry.source)
-        in
-        let ex = run MB.Explicit and pg = run MB.Paged in
-        (p.Cgcm_progs.Registry.name, ex, pg))
-      progs
-  in
-  let clean (r : Interp.result) =
-    r.Interp.leaks.Runtime.resident_nonglobal = 0
-    && r.Interp.leaks.Runtime.leaked_dev_blocks = 0
-  in
-  let identical =
-    List.for_all
-      (fun (_, ex, pg) ->
-        ex.Interp.output = pg.Interp.output
-        && ex.Interp.exit_code = pg.Interp.exit_code
-        && clean ex && clean pg)
-      rows
-  in
-  let ratio ex pg = pg.Interp.wall /. ex.Interp.wall in
-  let explicit_2x =
-    List.filter (fun (_, ex, pg) -> ratio ex pg >= 2.0) rows
-    |> List.map (fun (n, _, _) -> n)
-  in
-  let json =
-    J.Obj
-      [
-        ("schema", J.Str "cgcm-bench-10");
-        ("programs", J.Int (List.length rows));
-        ( "page_bytes",
-          J.Int Cgcm_gpusim.Cost_model.default.Cost_model.page_bytes );
-        ( "page_fault_cycles",
-          J.Float Cgcm_gpusim.Cost_model.default.Cost_model.page_fault_cycles
-        );
-        ( "per_program",
-          J.Obj
-            (List.map
-               (fun (name, ex, pg) ->
-                 let ps = Option.get pg.Interp.page_stats in
-                 ( name,
-                   J.Obj
-                     [
-                       ("explicit_cycles", J.Float ex.Interp.wall);
-                       ("paged_cycles", J.Float pg.Interp.wall);
-                       ("paged_over_explicit", J.Float (ratio ex pg));
-                       ( "explicit_transfer_bytes",
-                         J.Int
-                           (ex.Interp.dev_stats.Device.htod_bytes
-                           + ex.Interp.dev_stats.Device.dtoh_bytes) );
-                       ( "explicit_transfers",
-                         J.Int
-                           (ex.Interp.dev_stats.Device.htod_count
-                           + ex.Interp.dev_stats.Device.dtoh_count) );
-                       ( "page_faults",
-                         J.Int (ps.Paged.faults_to_dev + ps.Paged.faults_to_host)
-                       );
-                       ( "migrated_bytes",
-                         J.Int (ps.Paged.bytes_to_dev + ps.Paged.bytes_to_host)
-                       );
-                       ("touched_pages", J.Int ps.Paged.touched_pages);
-                     ] ))
-               rows) );
-        ("gate_bit_identical", J.Bool identical);
-        ( "explicit_wins_2x",
-          J.List (List.map (fun n -> J.Str n) explicit_2x) );
-        ("gate_explicit_wins_2x", J.Bool (explicit_2x <> []))
-      ]
-  in
-  let path = "BENCH_10.json" in
-  let oc = open_out path in
-  output_string oc (J.print json);
-  output_string oc "\n";
-  close_out oc;
-  Fmt.pr "%s@." (J.print json);
-  Fmt.pr "wrote %s@." path;
-  if not identical then begin
-    Fmt.epr
-      "membackend bench: backends disagree on output or leak report@.";
-    exit 1
-  end;
-  if explicit_2x = [] then begin
-    Fmt.epr
-      "membackend bench: no program shows explicit-copy CGCM >= 2x over \
-       paged migration@.";
-    exit 1
-  end
+let artifacts =
+  [
+    ("figure1", figure1);
+    ("figure3", figure3);
+    ("figure2", figure2);
+    ("table1", table1);
+    ("figure4", figure4);
+    ("table3", table3);
+    ("applicability", applicability);
+    ("volume", volume);
+    ("breakdown", breakdown);
+    ("validate", validate);
+    ("ablation", ablation);
+    ("sweep", sweep);
+  ]
 
-let all () =
-  figure1 ();
-  figure3 ();
-  figure2 ();
-  table1 ();
-  figure4 ();
-  table3 ();
-  applicability ();
-  volume ();
-  breakdown ();
-  check_outputs ();
-  validate ();
-  ablation ();
-  sweep ();
-  micro ()
+let gates = [ ("compile", compile_gate); ("serve", serve) ]
+
+let usage () =
+  Fmt.epr "usage: bench/main.exe [%s] [--seeds=N,...]@."
+    (String.concat "|" (List.map fst (artifacts @ gates)));
+  exit 2
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: [] | [] -> all ()
-  | _ :: args ->
-    let json = List.mem "--json" args in
-    List.iter
+  let seeds_flag = "--seeds=" in
+  let actions =
+    List.filter_map
       (fun a ->
-        let pfx = "--seeds=" in
-        let n = String.length pfx in
-        if String.length a > n && String.sub a 0 n = pfx then
-          serve_seeds :=
-            String.split_on_char ',' (String.sub a n (String.length a - n))
-            |> List.map int_of_string)
-      args;
-    List.iter
-      (function
-        | "--json" -> ()
-        | a when String.length a > 8 && String.sub a 0 8 = "--seeds=" -> ()
-        | "micro" when json -> micro_json ()
-        | "membackend" -> membackend_json ()
-        | "serve" -> serve_json ()
-        | "figure4" -> figure4 ()
-        | "table3" -> table3 ()
-        | "table1" -> table1 ()
-        | "figure2" -> figure2 ()
-        | "figure1" -> figure1 ()
-        | "figure3" -> figure3 ()
-        | "applicability" -> applicability ()
-        | "volume" -> volume ()
-        | "breakdown" -> breakdown ()
-        | "ablation" -> ablation ()
-        | "sweep" -> sweep ()
-        | "micro" -> micro ()
-        | "check" -> check_outputs ()
-        | "validate" -> validate ()
-        | other -> Fmt.epr "unknown artifact %s@." other)
-      args
+        match List.assoc_opt a (artifacts @ gates) with
+        | Some f -> Some f
+        | None when String.starts_with ~prefix:seeds_flag a -> (
+          let n = String.length seeds_flag in
+          match
+            List.map int_of_string
+              (String.split_on_char ',' (String.sub a n (String.length a - n)))
+          with
+          | seeds ->
+            serve_seeds := seeds;
+            None
+          | exception Failure _ ->
+            Fmt.epr "bad seed list %s@." a;
+            usage ())
+        | None ->
+          Fmt.epr "unknown artifact %s@." a;
+          usage ())
+      (List.tl (Array.to_list Sys.argv))
+  in
+  List.iter
+    (fun f -> f ())
+    (if Array.length Sys.argv = 1 then List.map snd artifacts else actions)

@@ -400,63 +400,32 @@ let run_cmd =
     let engine, jobs = resolve_engine engine jobs in
     let plan = parse_passes passes in
     let dump = parse_dump_ir dump_ir in
-    let stats_out = ref None in
-    let r =
+    let parallel, level, config =
+      Pipeline.execution_config ~trace ?faults ?device_mem ?page_bytes
+        ~backend ~sanitize ~engine ~jobs mode
+    in
+    let c =
+      Pipeline.compile ~parallel ~level ?plan ~analysis
+        ~hooks:(dump_hooks dump) src
+    in
+    (* --chaos mutates the module between compile and run *)
+    (match chaos with
+    | Some spec ->
+      let intrinsic, n = parse_chaos spec in
       if
-        profile || chaos <> None || plan <> None || dump <> None
-        || pass_stats <> None
-        || analysis <> Manager.Cached
-      then begin
-        (* re-run through the pipeline by hand: profiling needs a custom
-           config, --chaos must mutate the module between compile and
-           run, and the pass-pipeline surfaces need compile-time knobs
-           Pipeline.run does not expose *)
-        let parallel, level, imode, dirty_spans =
-          Pipeline.execution_config mode
-        in
-        let cost =
-          match device_mem with
-          | Some bytes ->
-            { Cgcm_gpusim.Cost_model.default with device_mem_bytes = bytes }
-          | None -> Cgcm_gpusim.Cost_model.default
-        in
-        let cost =
-          match page_bytes with
-          | Some bytes -> { cost with Cgcm_gpusim.Cost_model.page_bytes = bytes }
-          | None -> cost
-        in
-        let c =
-          Pipeline.compile ~parallel ~level ?plan ~analysis
-            ~hooks:(dump_hooks dump) src
-        in
-        stats_out := Some c;
-        (match chaos with
-        | Some spec ->
-          let intrinsic, n = parse_chaos spec in
-          if
-            not
-              (Cgcm_transform.Comm_mgmt.drop_nth_call c.Pipeline.modul
-                 ~intrinsic ~n)
-          then
-            failwith
-              (Fmt.str "--chaos %s: the module has no such call (try a \
-                        smaller N, or --mode unopt/opt)" spec)
-        | None -> ());
-        Interp.run
-          ~config:
-            { Interp.default_config with Interp.mode = imode; cost; trace;
-              profile; dirty_spans; faults; sanitize; engine; jobs; backend }
-          c.Pipeline.modul
-      end
-      else
-        snd
-          (Pipeline.run ~trace ?faults ?device_mem ?page_bytes ~backend
-             ~sanitize ~engine ~jobs mode src)
+        not
+          (Cgcm_transform.Comm_mgmt.drop_nth_call c.Pipeline.modul ~intrinsic
+             ~n)
+      then
+        failwith
+          (Fmt.str "--chaos %s: the module has no such call (try a \
+                    smaller N, or --mode unopt/opt)" spec)
+    | None -> ());
+    let r =
+      Interp.run ~config:{ config with Interp.profile } c.Pipeline.modul
     in
     print_result r ~trace;
-    (match (pass_stats, !stats_out) with
-    | Some format, Some c -> print_pass_stats format c
-    | _ -> ());
+    Option.iter (fun format -> print_pass_stats format c) pass_stats;
     if profile then begin
       Fmt.pr "--- per-function dynamic instructions:@.";
       List.iter
@@ -592,7 +561,7 @@ let suite_cmd =
     match only with
     | Some name -> begin
       match Cgcm_progs.Registry.find name with
-      | None -> Fmt.epr "unknown program %s@." name
+      | None -> failwith ("unknown program " ^ name)
       | Some p when dump = Some `Source ->
         print_string p.Cgcm_progs.Registry.source
       | Some p when dump = Some `Ir ->
@@ -609,7 +578,8 @@ let suite_cmd =
           (E.speedup ~seq:r.E.seq r.E.unopt)
           (E.speedup ~seq:r.E.seq r.E.opt)
           r.E.kernels
-          (if r.E.outputs_match then "outputs-ok" else "OUTPUT MISMATCH")
+          (if r.E.outputs_match then "outputs-ok" else "OUTPUT MISMATCH");
+        if not r.E.outputs_match then exit 1
     end
     | None ->
       let results =
@@ -620,11 +590,14 @@ let suite_cmd =
       Fmt.pr "%s@." (E.figure4 results);
       Fmt.pr "%s@." (E.table3 results);
       Fmt.pr "%s@." (E.applicability results);
+      let bad =
+        List.filter (fun (r : E.prog_result) -> not r.E.outputs_match) results
+      in
       List.iter
         (fun (r : E.prog_result) ->
-          if not r.E.outputs_match then
-            Fmt.pr "!! %s: OUTPUT MISMATCH@." r.E.prog.Cgcm_progs.Registry.name)
-        results
+          Fmt.pr "!! %s: OUTPUT MISMATCH@." r.E.prog.Cgcm_progs.Registry.name)
+        bad;
+      if bad <> [] then exit 1
   in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(

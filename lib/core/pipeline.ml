@@ -82,32 +82,28 @@ let execution_to_string = function
   | Unified_oracle _ -> "unified-oracle"
 
 (* How an execution configuration compiles and runs: (DOALL mode, level,
-   interpreter mode, dirty spans). The sequential baseline has no DOALL
-   and no management; explicitly written kernels (the manual-
+   interpreter configuration). The sequential baseline has no DOALL and
+   no management; explicitly written kernels (the manual-
    parallelization path) still carry launch statements, so it executes
    in unified memory, where kernels run as ordinary host loops charged
    as CPU time. Dirty-span transfers are part of the optimized run-time;
    the unoptimized configuration keeps the paper's whole-unit protocol
    so the Figure 4 contrast measures what the paper measures. *)
-let execution_config ?(parallel = Doall.Auto) = function
-  | Sequential -> (Doall.Off, Unmanaged, Interp.Unified, false)
-  | Cgcm_unoptimized -> (parallel, Managed, Interp.Split, false)
-  | Cgcm_optimized -> (parallel, Optimized, Interp.Split, true)
-  | Inspector_executor_exec ->
-    (parallel, Unmanaged, Interp.Inspector_executor, false)
-  | Unified_oracle level -> (parallel, level, Interp.Unified, false)
-
-let run ?parallel ?(cost = Cgcm_gpusim.Cost_model.default)
-    ?(trace = false) ?(engine = Interp.default_config.Interp.engine)
-    ?dirty_spans ?faults ?device_mem ?page_bytes ?(paranoid = false)
-    ?(sanitize = false) ?(jobs = 0)
-    ?(backend = Cgcm_runtime.Mem_backend.Explicit) (execution : execution)
-    (source : string) : compiled * Interp.result =
+let execution_config ?(parallel = Doall.Auto)
+    ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
+    ?(engine = Interp.default_config.Interp.engine) ?dirty_spans ?faults
+    ?device_mem ?page_bytes ?(paranoid = false) ?(sanitize = false)
+    ?(jobs = 0) ?(backend = Cgcm_runtime.Mem_backend.Explicit)
+    (execution : execution) =
   let parallel, level, mode, default_spans =
-    execution_config ?parallel execution
+    match execution with
+    | Sequential -> (Doall.Off, Unmanaged, Interp.Unified, false)
+    | Cgcm_unoptimized -> (parallel, Managed, Interp.Split, false)
+    | Cgcm_optimized -> (parallel, Optimized, Interp.Split, true)
+    | Inspector_executor_exec ->
+      (parallel, Unmanaged, Interp.Inspector_executor, false)
+    | Unified_oracle level -> (parallel, level, Interp.Unified, false)
   in
-  (* an explicit [dirty_spans] overrides for A/B experiments *)
-  let dirty_spans = Option.value dirty_spans ~default:default_spans in
   let cost =
     match device_mem with
     | Some bytes -> { cost with Cgcm_gpusim.Cost_model.device_mem_bytes = bytes }
@@ -118,20 +114,29 @@ let run ?parallel ?(cost = Cgcm_gpusim.Cost_model.default)
     | Some bytes -> { cost with Cgcm_gpusim.Cost_model.page_bytes = bytes }
     | None -> cost
   in
-  let config =
+  ( parallel,
+    level,
     {
       Interp.default_config with
       mode;
       cost;
       trace;
       engine;
-      dirty_spans;
+      (* an explicit [dirty_spans] overrides for A/B experiments *)
+      dirty_spans = Option.value dirty_spans ~default:default_spans;
       faults;
       paranoid;
       sanitize;
       jobs;
       backend;
-    }
+    } )
+
+let run ?parallel ?cost ?trace ?engine ?dirty_spans ?faults ?device_mem
+    ?page_bytes ?paranoid ?sanitize ?jobs ?backend (execution : execution)
+    (source : string) : compiled * Interp.result =
+  let parallel, level, config =
+    execution_config ?parallel ?cost ?trace ?engine ?dirty_spans ?faults
+      ?device_mem ?page_bytes ?paranoid ?sanitize ?jobs ?backend execution
   in
   let c = compile ~parallel ~level source in
   (c, Interp.run ~config c.modul)

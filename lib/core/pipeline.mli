@@ -60,13 +60,25 @@ type execution =
 val execution_to_string : execution -> string
 
 val execution_config :
-  ?parallel:Doall.mode -> execution -> Doall.mode * level * Interp.mode * bool
-(** [(parallel, level, mode, dirty_spans)]: how an execution
-    configuration compiles and runs. {!Sequential} compiles with DOALL
-    off at {!Unmanaged} and runs in {!Interp.Unified}; the others use
-    [parallel] (default [Auto]). [dirty_spans] is on only for
-    {!Cgcm_optimized}. {!run}, the CLI's hand-built path and the serve
-    daemon all take their configuration from here. *)
+  ?parallel:Doall.mode ->
+  ?cost:Cgcm_gpusim.Cost_model.t ->
+  ?trace:bool ->
+  ?engine:Interp.engine ->
+  ?dirty_spans:bool ->
+  ?faults:Cgcm_gpusim.Faults.spec ->
+  ?device_mem:int ->
+  ?page_bytes:int ->
+  ?paranoid:bool ->
+  ?sanitize:bool ->
+  ?jobs:int ->
+  ?backend:Cgcm_runtime.Mem_backend.kind ->
+  execution ->
+  Doall.mode * level * Interp.config
+(** [(parallel, level, config)]: how an execution configuration
+    compiles and runs; the options are {!run}'s. {!Sequential} compiles
+    with DOALL off at {!Unmanaged} and runs in {!Interp.Unified}; the
+    others use [parallel] (default [Auto]). {!run}, the CLI and the
+    serve daemon all take their configuration from here. *)
 
 val run :
   ?parallel:Doall.mode ->

@@ -210,8 +210,7 @@ let plan_of_mode m =
                suffixed +explicit or +paged)"
               m))
   in
-  let parallel, level, imode, dirty_spans = Pipeline.execution_config execution in
-  (parallel, level, imode, dirty_spans, backend)
+  Pipeline.execution_config ~backend execution
 
 let compile_tag parallel level =
   Printf.sprintf "%s/%s"
@@ -225,7 +224,7 @@ let cache_key parallel level source =
   Digest.to_hex (Digest.string (compile_tag parallel level ^ "\x00" ^ source))
 
 let cache_key_of_mode ~mode source =
-  let parallel, level, _, _, _ = plan_of_mode mode in
+  let parallel, level, _ = plan_of_mode mode in
   cache_key parallel level source
 
 let compiled_of t ~mode ~parallel ~level source =
@@ -352,20 +351,16 @@ let shed_draining t (req : Wire.request) deliver =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let run_config t ~imode ~dirty_spans ~fuel ~faults ~backend =
+let run_config t (config : Interp.config) ~fuel ~faults =
   let avail =
     if t.cfg.device_mem = max_int then max_int
     else max 4096 (t.cfg.device_mem - Residency.warm_bytes t.res)
   in
   {
-    Interp.default_config with
-    mode = imode;
-    cost =
-      { Cgcm_gpusim.Cost_model.default with device_mem_bytes = avail };
+    config with
+    cost = { config.cost with device_mem_bytes = avail };
     fuel;
-    dirty_spans;
     faults;
-    backend;
   }
 
 (* Warm this tenant's writable globals after a successful device-side
@@ -394,7 +389,7 @@ type outcome =
   | O_failed of exn * int
 
 let execute t (req : Wire.request) ~mode =
-  let parallel, level, imode, dirty_spans, backend = plan_of_mode mode in
+  let parallel, level, config = plan_of_mode mode in
   let key = cache_key parallel level req.rq_source in
   let compiled, hitmiss = compiled_of t ~mode ~parallel ~level req.rq_source in
   let fuel =
@@ -407,7 +402,7 @@ let execute t (req : Wire.request) ~mode =
     | Some s -> Some (Faults.parse s)
     | None -> t.cfg.faults
   in
-  let device_used = match imode with Interp.Unified -> false | _ -> true in
+  let device_used = config.Interp.mode <> Interp.Unified in
   let rec attempt n retries =
     t.attempt_counter <- t.attempt_counter + 1;
     let faults =
@@ -418,7 +413,7 @@ let execute t (req : Wire.request) ~mode =
             { sp with Faults.seed = derive_seed sp.seed t.attempt_counter })
           base_faults
     in
-    let config = run_config t ~imode ~dirty_spans ~fuel ~faults ~backend in
+    let config = run_config t config ~fuel ~faults in
     match Interp.run ~config compiled.Pipeline.modul with
     | r -> O_ok (r, retries)
     | exception exn when is_fuel_exhausted exn -> O_deadline
@@ -444,7 +439,7 @@ let execute t (req : Wire.request) ~mode =
   (* Residency warming is an explicit-copy concept — under the paged
      backend device residency is page state, not warm units — so the
      caller skips the warm for paged requests. *)
-  let warmable = device_used && backend = Mem_backend.Explicit in
+  let warmable = device_used && config.Interp.backend = Mem_backend.Explicit in
   (attempt 1 0, key, compiled, hitmiss, fuel, warmable)
 
 let finish_breaker st ~threshold ~probation ~trips exn_opt =
@@ -624,7 +619,7 @@ let recover t (rp : Journal.replay) : recovery =
   List.iter
     (fun (c : Journal.compile_rec) ->
       match plan_of_mode c.jc_mode with
-      | parallel, level, _, _, _ -> (
+      | parallel, level, _ -> (
         match compiled_of t ~mode:c.jc_mode ~parallel ~level c.jc_source with
         | _ -> incr compiled
         | exception _ -> incr skipped)
@@ -633,7 +628,7 @@ let recover t (rp : Journal.replay) : recovery =
   List.iter
     (fun (w : Journal.warm_rec) ->
       match plan_of_mode w.jw_mode with
-      | parallel, level, _, _, _ -> (
+      | parallel, level, _ -> (
         match compiled_of t ~mode:w.jw_mode ~parallel ~level w.jw_source with
         | cm, _ ->
           let key = cache_key parallel level w.jw_source in

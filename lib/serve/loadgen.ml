@@ -1,4 +1,4 @@
-(* Load generator for the serve daemon ([cgcm bench -- serve] and the CI
+(* Load generator for the serve daemon ([bench/main.exe -- serve] and the CI
    soak job).
 
    Drives a running daemon over its socket with a deterministic,
@@ -204,23 +204,11 @@ let run ~socket_path ~tenants ~requests ?(burst = 16) ?(poison = true)
        else float_of_int !hits /. float_of_int lookups);
   }
 
-let report_json r : Json.t =
-  Obj
-    [
-      ("requests", Json.Int r.lr_requests);
-      ("ok", Json.Int r.lr_ok);
-      ("shed", Json.Int r.lr_shed);
-      ("deadline_exceeded", Json.Int r.lr_deadline);
-      ("circuit_open", Json.Int r.lr_circuit_open);
-      ("errors", Json.Int r.lr_errors);
-      ("degraded", Json.Int r.lr_degraded);
-      ("retries", Json.Int r.lr_retries);
-      ("cache_hits", Json.Int r.lr_cache_hits);
-      ("cache_misses", Json.Int r.lr_cache_misses);
-      ("wall_s", Json.Float r.lr_wall_s);
-      ("requests_per_sec", Json.Float r.lr_rps);
-      ("p50_ms", Json.Float r.lr_p50_ms);
-      ("p99_ms", Json.Float r.lr_p99_ms);
-      ("shed_rate", Json.Float r.lr_shed_rate);
-      ("cache_hit_rate", Json.Float r.lr_cache_hit_rate);
-    ]
+let summary r =
+  Printf.sprintf
+    "requests=%d ok=%d shed=%d deadline=%d circuit_open=%d errors=%d \
+     degraded=%d retries=%d cache=%d/%d rps=%.1f p50=%.2fms p99=%.2fms \
+     shed_rate=%.3f cache_hit_rate=%.3f"
+    r.lr_requests r.lr_ok r.lr_shed r.lr_deadline r.lr_circuit_open r.lr_errors
+    r.lr_degraded r.lr_retries r.lr_cache_hits r.lr_cache_misses r.lr_rps
+    r.lr_p50_ms r.lr_p99_ms r.lr_shed_rate r.lr_cache_hit_rate

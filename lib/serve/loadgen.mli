@@ -1,5 +1,5 @@
 (** Deterministic load generator for the serve daemon
-    ([cgcm bench -- serve] and the CI soak job): bursts of concurrent
+    ([bench/main.exe -- serve] and the CI soak job): bursts of concurrent
     requests over a seed-derived workload mixing a few cached program
     variants, deadline-bombed spin programs, and a poison tenant whose
     fault plan always fires. *)
@@ -43,4 +43,5 @@ val run :
     on its own connection, all written before any reply is read — so
     admission control genuinely sees the burst. *)
 
-val report_json : report -> Json.t
+val summary : report -> string
+(** One line of [key=value] fields. *)

@@ -135,7 +135,7 @@ let test_validator_detects_failures () =
   let broken =
     { r with E.outputs_match = false; opt = r.E.unopt; unopt = r.E.opt }
   in
-  let text, ok = Validate.report [ broken ] in
+  let text, ok = Validate.report [ broken ] ~paged:[ r.E.opt ] in
   check Alcotest.bool "flags failure" false ok;
   let contains_sub hay needle =
     let n = String.length needle and h = String.length hay in

@@ -15,6 +15,8 @@ module Cost_model = Cgcm_gpusim.Cost_model
 module Bytesize = Cgcm_support.Bytesize
 module Engine = Cgcm_serve.Engine
 module Wire = Cgcm_serve.Wire
+module E = Cgcm_core.Experiments
+module Validate = Cgcm_core.Validate
 
 let check = Alcotest.check
 
@@ -569,6 +571,67 @@ let golden_strategies () =
         Alcotest.failf "%s line %d differs:\n  golden: %s\n  actual: %s" file
           i w h)
 
+(* ------------------------------------------------------------------ *)
+(* The claims gate's backend claims hold on real small-program results
+   and fail on counter-examples made from them: one paged output that
+   differs, one paged run that leaks, and no program where paging costs
+   2x the explicit copies. *)
+
+let backend_claims () =
+  (* blackscholes at 3000 options: explicit copies win 2.9x (at 200
+     options, paging wins with 0.4x) *)
+  let results =
+    List.map
+      (fun (name, source) ->
+        let prog = Option.get (Cgcm_progs.Registry.find name) in
+        E.run_program { prog with Cgcm_progs.Registry.source })
+      [
+        ("blackscholes", Cgcm_progs.Others.blackscholes ~options:3000 ());
+        ("gemm", List.assoc "gemm" Test_fastpath.small_programs);
+        ("srad", List.assoc "srad" Test_fastpath.small_programs);
+      ]
+  in
+  let paged =
+    List.map
+      (fun r ->
+        snd
+          (Pipeline.run ~backend:Mem_backend.Paged Pipeline.Cgcm_optimized
+             r.E.prog.Cgcm_progs.Registry.source))
+      results
+  in
+  let verdicts paged =
+    List.map (fun c -> c.Validate.ok) (Validate.backend_claims results ~paged)
+  in
+  let on_first f = function pg :: rest -> f pg :: rest | [] -> [] in
+  check Alcotest.(list bool) "both claims hold on real results" [ true; true ]
+    (verdicts paged);
+  check Alcotest.(list bool) "a differing paged output fails agreement"
+    [ false; true ]
+    (verdicts
+       (on_first
+          (fun pg -> { pg with Interp.output = pg.Interp.output ^ "0\n" })
+          paged));
+  check Alcotest.(list bool) "a leaking paged run fails agreement" [ false; true ]
+    (verdicts
+       (on_first
+          (fun pg ->
+            { pg with
+              Interp.leaks = { pg.Interp.leaks with Runtime.resident_nonglobal = 1 } })
+          paged));
+  check Alcotest.(list bool) "no 2x program fails the explicit-wins claim"
+    [ true; false ]
+    (verdicts
+       (List.map2
+          (fun r pg -> { pg with Interp.wall = r.E.opt.Interp.wall })
+          results paged));
+  let text, ok =
+    Validate.report results
+      ~paged:(on_first (fun pg -> { pg with Interp.exit_code = 1L }) paged)
+  in
+  check Alcotest.bool "the report fails with them" false ok;
+  check Alcotest.bool "and names the program" true
+    (Test_report.contains_sub text "blackscholes")
+
 let tests =
   [
     Alcotest.test_case "backend differential (unopt, suite)" `Slow
@@ -593,4 +656,6 @@ let tests =
     Alcotest.test_case "serve: +paged mode suffix" `Slow serve_paged_suffix;
     Alcotest.test_case "golden: every strategy on the small suite" `Slow
       golden_strategies;
+    Alcotest.test_case "claims: backend agreement and explicit >= 2x" `Slow
+      backend_claims;
   ]

@@ -571,7 +571,7 @@ let test_soak () =
    on a thread rather than a forked process: earlier suites spawn
    domains for the multicore kernel engine, after which OCaml 5 forbids
    [Unix.fork]. (The forked-process path is exercised end-to-end by
-   [cgcm bench -- serve].) *)
+   [bench/main.exe -- serve].) *)
 
 let test_socket_round_trip () =
   let path = Printf.sprintf "/tmp/cgcm-test-serve-%d.sock" (Unix.getpid ()) in
